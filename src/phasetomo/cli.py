@@ -22,6 +22,7 @@ import numpy as np
 from .fields import ConfigurationError, GridSpec, TransferFunction
 from .forward import (
     AcquisitionPlan,
+    TiltSeries,
     read_tilt_series,
     simulate_tilt_series,
     uniform_tilt_angles,
@@ -37,6 +38,7 @@ from .phantom import (
 from .solver import DivergenceError, SolverConfig, reconstruct, write_cost_history
 from .tracing import (
     TraceParams,
+    _match_pairs,
     classify_species,
     read_sites_csv,
     score,
@@ -220,10 +222,9 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _reconstruct_once(cfg: dict, out: Path, reg_weight: float, tag: str = "") -> None:
-    series = read_tilt_series(cfg["series_dir"])
-    grid = series.grid
-    h = TransferFunction.identity(grid, cfg["aperture_qmax"])
+def _reconstruct_once(series: TiltSeries, cfg: dict, out: Path, reg_weight: float,
+                      tag: str = "") -> None:
+    h = TransferFunction.identity(series.grid, cfg["aperture_qmax"])
     solver_cfg = SolverConfig(
         step_size=None if cfg["step_size"] is None else float(cfg["step_size"]),
         reg_kind=cfg["reg_kind"],
@@ -244,7 +245,7 @@ def cmd_reconstruct(args) -> int:
     if not cfg["series_dir"]:
         raise ConfigError("reconstruct needs 'series_dir'")
     out = _out_dir(args.out)
-    _reconstruct_once(cfg, out, float(cfg["reg_weight"]))
+    _reconstruct_once(read_tilt_series(cfg["series_dir"]), cfg, out, float(cfg["reg_weight"]))
     _write_manifest(out, "reconstruct", cfg)
     print(f"reconstruct: wrote {out / 'reconstruction.raw'}")
     return EXIT_OK
@@ -256,9 +257,10 @@ def cmd_sweep(args) -> int:
     if not cfg["series_dir"]:
         raise ConfigError("sweep needs 'series_dir'")
     out = _out_dir(args.out)
+    series = read_tilt_series(cfg["series_dir"])
     for weight in cfg["reg_weights"]:
         tag = f"_w{float(weight):g}"
-        _reconstruct_once(cfg, out, float(weight), tag)
+        _reconstruct_once(series, cfg, out, float(weight), tag)
     _write_manifest(out, "sweep", cfg)
     print(f"sweep: {len(cfg['reg_weights'])} reconstructions -> {out}")
     return EXIT_OK
@@ -321,8 +323,6 @@ def cmd_evaluate(args) -> int:
         for value in traced.intensity:
             writer.writerow([repr(float(value))])
     traced_xyz = traced.positions_angstrom()
-    from .tracing import _match_pairs  # local import keeps the public API tidy
-
     pairs = _match_pairs(traced_xyz, truth.positions, float(cfg["match_radius"]),
                          cfg["matching"])
     with (out / "position_error_histogram.csv").open("w", newline="") as fh:

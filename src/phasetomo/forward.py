@@ -116,6 +116,23 @@ class TiltSeries:
         return self.images / self.background_counts
 
 
+def multislice_factors(
+    h: TransferFunction,
+    slab_thickness: float,
+    defoci: tuple[float, ...] | list[float],
+    anti_alias: bool = True,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Slab propagator P_dz (2/3-Nyquist band-limited when ``anti_alias``)
+    and exit factors P_df * H stacked as (n_defoci, ny, nx), on ``h.grid``
+    in fft order. The adjoint pass multiplies by their complex conjugates.
+    """
+    slab_factor = propagation_kernel(h.grid, slab_thickness)
+    if anti_alias:
+        slab_factor = slab_factor * band_mask(h.grid, ANTI_ALIAS_FRACTION)
+    exit_factors = np.stack([propagation_kernel(h.grid, df) * h.values for df in defoci])
+    return slab_factor, exit_factors
+
+
 def multislice_forward(
     w: BinnedVolume,
     params: InteractionParams,
@@ -141,10 +158,7 @@ def multislice_forward(
         raise ValueError("grid wavelength does not match interaction parameters")
     _require_finite(w.values, "binned volume")
 
-    slab_factor = propagation_kernel(grid, w.slab_thickness)
-    if anti_alias:
-        slab_factor = slab_factor * band_mask(grid, ANTI_ALIAS_FRACTION)
-
+    slab_factor, exit_factors = multislice_factors(h, w.slab_thickness, defoci, anti_alias)
     psi = np.ones(grid.shape, dtype=np.complex128)
     intermediates = [psi]
     for m in range(w.n_slabs):
@@ -153,11 +167,8 @@ def multislice_forward(
         psi = np.fft.ifft2(slab_factor * np.fft.fft2(g_m, norm="ortho"), norm="ortho")
         intermediates.append(psi)
 
-    exit_waves = []
-    for df in defoci:
-        spectrum = np.fft.fft2(psi, norm="ortho")
-        spectrum = spectrum * propagation_kernel(grid, df) * h.values
-        exit_waves.append(WaveField(grid, np.fft.ifft2(spectrum, norm="ortho")))
+    exit_spectra = np.fft.fft2(psi, norm="ortho") * exit_factors
+    exit_waves = [WaveField(grid, e) for e in np.fft.ifft2(exit_spectra, norm="ortho")]
     return exit_waves, intermediates
 
 

@@ -5,12 +5,15 @@ which suits Poisson-dominated counting noise. Its gradient with respect
 to each slab of projected potential is computed by running the exact
 adjoint of the forward multislice chain over the residual fields.
 
-Backward recursion, with phi the adjoint field and t_m the forward
-transmittance of slab m:
+The backward pass runs the forward chain's factors in reverse, each
+replaced by its complex conjugate (the adjoint of a spectral
+multiplication). With P_dz the slab propagator and P_df_j H the exit
+factor of defocus j, both from :func:`phasetomo.forward.multislice_factors`,
+phi the adjoint field and t_m the forward transmittance of slab m:
 
-    phi <- sum_j P_{-df_j} { H_adj { r_j } }
+    phi <- sum_j F^-1 { conj(P_df_j H) F { r_j } }
     for m = n_slabs .. 1:
-        phi <- P_{-dz} { phi }              # adjoint of slab m's propagation
+        phi <- F^-1 { conj(P_dz) F { phi } }   # adjoint of slab m's propagation
         g_m  = -i sigma conj(t_m) conj(psi_m) phi
         phi <- conj(t_m) phi
 
@@ -23,8 +26,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import TransferFunction, WaveField, band_mask, propagation_kernel
-from .forward import ANTI_ALIAS_FRACTION
+from .fields import TransferFunction, WaveField
+# Not called here (the backward pass conjugates forward's factors); the two
+# names stay importable from this module because perfbench/layers.py wraps them.
+from .fields import band_mask, propagation_kernel  # noqa: F401
+from .forward import multislice_factors
 from .volume import BinnedVolume, InteractionParams
 
 AMPLITUDE_EPS = 1e-12
@@ -76,17 +82,11 @@ def backpropagate(
     if len(residuals) != len(defoci):
         raise ValueError("one residual field per defocus is required")
 
-    grid = h.grid
-    slab_factor_back = propagation_kernel(grid, -w.slab_thickness)
-    if anti_alias:
-        slab_factor_back = slab_factor_back * band_mask(grid, ANTI_ALIAS_FRACTION)
-
+    slab_factor, exit_factors = multislice_factors(h, w.slab_thickness, defoci, anti_alias)
     # refocus all residuals to the end of the sample
-    phi = np.zeros(grid.shape, dtype=np.complex128)
-    for r_j, df in zip(residuals, defoci):
-        spectrum = np.fft.fft2(np.asarray(r_j, dtype=np.complex128), norm="ortho")
-        spectrum = spectrum * np.conj(h.values) * propagation_kernel(grid, -df)
-        phi += np.fft.ifft2(spectrum, norm="ortho")
+    spectra = np.fft.fft2(np.asarray(residuals, dtype=np.complex128), norm="ortho")
+    phi = np.fft.ifft2(spectra * np.conj(exit_factors), norm="ortho").sum(axis=0)
+    slab_factor_back = np.conj(slab_factor)
 
     gradients: list[np.ndarray | None] = [None] * n_slabs
     sigma = params.sigma

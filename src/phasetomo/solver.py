@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import NonFiniteError, TransferFunction
+from .fields import GridSpec, NonFiniteError, TransferFunction
 from .forward import TiltSeries, multislice_forward
 from .gradients import backpropagate, residual
 from .volume import (
@@ -61,7 +61,8 @@ class SolverConfig:
     an infinite-dose series the threshold is 0 and a positive weight
     has no effect (``reconstruct`` warns). When ``step_size`` is None a
     3-point bracket on the iteration-1 cost picks one of
-    ``step_bracket``.
+    ``step_bracket``, and the winner's first iteration is kept as
+    iteration 1 (row 1 of ``cost.csv``).
     """
 
     step_size: float | None = None
@@ -92,7 +93,6 @@ class SolverState:
     """Mutable state of one reconstruction run."""
 
     u: PotentialVolume            # momentum iterate (may be complex mid-sweep)
-    v_prev: PotentialVolume       # prox output of iteration k-1
     v_curr: PotentialVolume       # prox output of iteration k
     t: float = 1.0
     k: int = 0
@@ -168,7 +168,7 @@ def prox_tv(v: PotentialVolume, weight: float, inner_iters: int = 20) -> Potenti
         p_new = q + step * _tv_gradient(x)
         norms = np.sqrt(np.sum(p_new * p_new, axis=0))
         p_new /= np.maximum(norms, 1.0)
-        t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        t_new = nesterov_next_t(t)
         q = p_new + ((t - 1.0) / t_new) * (p_new - p)
         p, t = p_new, t_new
     x = np.maximum(b - weight * _tv_gradient_adjoint(p), 0.0)
@@ -209,12 +209,10 @@ def nesterov_next_t(t: float) -> float:
 
 def _sweep(
     u: np.ndarray,
-    measured_amplitude: np.ndarray,
     series: TiltSeries,
     cfg: SolverConfig,
     params: InteractionParams,
     h: TransferFunction,
-    step_size: float,
     update: bool = True,
     tilt_order: np.ndarray | None = None,
 ) -> float:
@@ -227,6 +225,7 @@ def _sweep(
     """
     plan = series.plan
     pitch = series.grid.pitch
+    measured_amplitude = np.sqrt(series.normalized())
     nz = u.shape[0]
     cost = 0.0
     order = range(plan.n_tilts) if tilt_order is None else tilt_order
@@ -253,38 +252,37 @@ def _sweep(
         g_binned = BinnedVolume(np.stack(grads), pitch, cfg.n_b)
         g_full = bin_adjoint(g_binned, cfg.n_b, nz)
         g_vol = rotate_adjoint(g_full, theta)
-        u -= step_size * g_vol.values
+        u -= cfg.step_size * g_vol.values
     return cost
 
 
-def _iteration_one_cost(
-    series: TiltSeries,
-    cfg: SolverConfig,
-    params: InteractionParams,
-    h: TransferFunction,
-    step_size: float,
-) -> float:
-    """Cost of the prox output after a single outer iteration.
+def _initial_state(grid: GridSpec) -> SolverState:
+    """U = 0, V = 0, t = 1 on the reconstruction cube (nz = nx)."""
+    shape = (grid.nx, grid.ny, grid.nx)
+    return SolverState(PotentialVolume(np.zeros(shape, np.complex128), grid.pitch),
+                       PotentialVolume(np.zeros(shape), grid.pitch))
 
-    A diverging candidate (a blown-up iterate, or the non-finite field
-    that one makes inside the sweep) scores infinity instead of raising,
-    so the bracket can reject it. Any other error propagates.
-    """
-    grid = series.grid
-    nz = grid.nx
-    measured_amplitude = np.sqrt(series.normalized())
-    u = np.zeros((nz, grid.ny, grid.nx), dtype=np.complex128)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            _sweep(u, measured_amplitude, series, cfg, params, h, step_size, update=True)
-            trial = replace(cfg, step_size=step_size)
-            v1 = apply_prox(PotentialVolume(u, grid.pitch), trial, series.background_counts)
-            u1 = v1.values.astype(np.complex128)
-            cost = _sweep(u1, measured_amplitude, series, cfg, params, h, step_size,
-                          update=False)
-    except (DivergenceError, NonFiniteError):
-        return np.inf
-    return cost if np.isfinite(cost) else np.inf
+
+def _outer_iteration(state: SolverState, series: TiltSeries, cfg: SolverConfig,
+                     params: InteractionParams, h: TransferFunction,
+                     tilt_order: np.ndarray | None) -> None:
+    """Advance ``state`` in place by one sweep at eta = ``cfg.step_size``,
+    the prox and the Nesterov extrapolation, recording the sweep's cost."""
+    # overflow inside a diverging iterate is caught by the finiteness guards
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = _sweep(state.u.values, series, cfg, params, h, tilt_order=tilt_order)
+        state.cost_history.append(cost)
+        if not np.isfinite(cost) or cost > DIVERGENCE_FACTOR * state.cost_history[0]:
+            raise DivergenceError("step size too large")
+        v_new = apply_prox(state.u, cfg, series.background_counts)
+        t_next = nesterov_next_t(state.t)
+        momentum = (state.t - 1.0) / t_next
+        # v_curr still holds V^(k-1) at this point
+        u = v_new.values + momentum * (v_new.values - state.v_curr.values)
+    state.u = PotentialVolume(u.astype(np.complex128), v_new.pitch)
+    state.v_curr = v_new
+    state.t = t_next
+    state.k += 1
 
 
 def bracket_step_size(
@@ -292,17 +290,31 @@ def bracket_step_size(
     cfg: SolverConfig,
     params: InteractionParams,
     h: TransferFunction,
-) -> float:
-    """Pick the bracket candidate with the lowest iteration-1 cost.
+    tilt_order: np.ndarray | None = None,
+) -> tuple[float, SolverState]:
+    """Pick the bracket candidate whose iteration-1 prox output costs least.
 
-    Raises :class:`DivergenceError` when every candidate diverges.
+    Each candidate runs iteration 1 exactly as :func:`reconstruct` does,
+    ``tilt_order`` included; returns the winning step size and its state
+    after iteration 1. A diverging candidate is rejected, any other error
+    propagates, and :class:`DivergenceError` is raised when all diverge.
     """
-    costs = [
-        _iteration_one_cost(series, cfg, params, h, eta) for eta in cfg.step_bracket
-    ]
-    if not np.isfinite(min(costs)):
+    best_cost, best = np.inf, None
+    for eta in cfg.step_bracket:
+        trial = replace(cfg, step_size=float(eta))
+        state = _initial_state(series.grid)
+        try:
+            _outer_iteration(state, series, trial, params, h, tilt_order)
+            with np.errstate(over="ignore", invalid="ignore"):
+                cost = _sweep(state.v_curr.values.astype(np.complex128), series, trial,
+                              params, h, update=False, tilt_order=tilt_order)
+        except (DivergenceError, NonFiniteError):
+            continue
+        if cost < best_cost:
+            best_cost, best = cost, (trial.step_size, state)
+    if best is None:
         raise DivergenceError(f"every step size in {tuple(cfg.step_bracket)} diverges")
-    return float(cfg.step_bracket[int(np.argmin(costs))])
+    return best
 
 
 def reconstruct(
@@ -315,9 +327,11 @@ def reconstruct(
     """Run the full reconstruction; returns the volume and cost history.
 
     The volume is a cube in x-z (nz = nx) so that y-axis rotations are
-    well defined. Initial state: U = 0, V_prev = 0, t = 1. The recorded
-    cost per outer iteration is the amplitude cost accumulated during
-    that sweep (predicted intensities from the then-current iterate).
+    well defined. Initial state: U = 0, V = 0, t = 1. The recorded cost
+    per outer iteration is the amplitude cost accumulated during that
+    sweep (predicted intensities from the then-current iterate). With no
+    ``cfg.step_size`` the loop continues from the bracket winner's state.
+    ``tilt_order`` permutes every sweep, the bracket's included.
     """
     grid = series.grid
     if params is None:
@@ -336,37 +350,11 @@ def reconstruct(
             stacklevel=2,
         )
     if cfg.step_size is None:
-        cfg.step_size = bracket_step_size(series, cfg, params, h)
-
-    nz = grid.nx
-    measured_amplitude = np.sqrt(series.normalized())
-    state = SolverState(
-        u=PotentialVolume(np.zeros((nz, grid.ny, grid.nx), dtype=np.complex128), grid.pitch),
-        v_prev=PotentialVolume.zeros(nz, grid.ny, grid.nx, grid.pitch),
-        v_curr=PotentialVolume.zeros(nz, grid.ny, grid.nx, grid.pitch),
-    )
-
-    u = state.u.values
-    for k in range(1, cfg.max_iter + 1):
-        # overflow inside a diverging sweep is caught by the cost guard
-        with np.errstate(over="ignore", invalid="ignore"):
-            cost = _sweep(u, measured_amplitude, series, cfg, params, h,
-                          cfg.step_size, tilt_order=tilt_order)
-        state.cost_history.append(cost)
-        if not np.isfinite(cost) or cost > DIVERGENCE_FACTOR * state.cost_history[0]:
-            raise DivergenceError("step size too large")
-        # V^(k)
-        v_new = apply_prox(PotentialVolume(u, grid.pitch), cfg, series.background_counts)
-        t_next = nesterov_next_t(state.t)
-        momentum = (state.t - 1.0) / t_next
-        # v_curr still holds V^(k-1) at this point
-        u = (v_new.values + momentum * (v_new.values - state.v_curr.values)).astype(
-            np.complex128
-        )
-        state.v_prev = state.v_curr
-        state.v_curr = v_new
-        state.t = t_next
-        state.k = k
+        cfg.step_size, state = bracket_step_size(series, cfg, params, h, tilt_order)
+    else:
+        state = _initial_state(grid)
+    while state.k < cfg.max_iter:
+        _outer_iteration(state, series, cfg, params, h, tilt_order)
 
     if cfg.cost_log_path:
         write_cost_history(state.cost_history, cfg.cost_log_path)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from phasetomo import read_atoms_csv, read_tilt_series, read_volume
+from phasetomo import cli, read_atoms_csv, read_tilt_series, read_volume
 from phasetomo.cli import main
 from phasetomo.tracing import read_sites_csv
 
@@ -145,8 +145,15 @@ def test_reconstruct_diverging_step_exits_3(phantom_dir, tmp_path):
                  "--out", str(tmp_path / "recdiv")]) == 3
 
 
-def test_sweep_emits_one_volume_per_weight(phantom_dir, tmp_path):
+def test_sweep_emits_one_volume_per_weight(phantom_dir, tmp_path, monkeypatch):
     series_dir = _small_series(phantom_dir, tmp_path, "sweep")
+    reads = []
+
+    def counting_read(path):
+        reads.append(path)
+        return read_tilt_series(path)
+
+    monkeypatch.setattr(cli, "read_tilt_series", counting_read)
     cfg = _write_config(tmp_path, "sweep.json", {
         "step_size": 3e4,
         "reg_kind": "tv",
@@ -160,6 +167,7 @@ def test_sweep_emits_one_volume_per_weight(phantom_dir, tmp_path):
     volumes = sorted(out.glob("reconstruction_w*.raw"))
     assert len(volumes) == 3
     assert len(sorted(out.glob("cost_w*.csv"))) == 3
+    assert len(reads) == 1  # the series is read once for all weights
 
 
 def test_trace_and_evaluate_roundtrip(phantom_dir, tmp_path):

@@ -12,12 +12,16 @@ from phasetomo import (
     PotentialVolume,
     TransferFunction,
     WaveField,
+    apply_ctf,
     apply_poisson,
+    band_limit,
     intensity,
     interaction_parameter,
     multislice_forward,
+    propagate,
     read_tilt_series,
     simulate_tilt_series,
+    transmittance,
     uniform_tilt_angles,
     write_tilt_series,
 )
@@ -97,6 +101,31 @@ def test_two_slab_order_matters():
         exit_waves, _ = multislice_forward(w, PARAMS, (250.0,), h)
         out[name] = intensity(exit_waves[0])
     assert np.linalg.norm(out["ab"] - out["ba"]) > 1e-3
+
+
+def test_multislice_factors_match_field_oracles():
+    # A non-identity H: the shared exit factors regroup spectrum * P_df * H,
+    # which is bit-exact against the oracles only when H is 0 or 1.
+    rng = np.random.default_rng(5)
+    grid = _grid()
+    h = TransferFunction(grid, rng.uniform(0.0, 1.0, grid.shape)
+                         * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, grid.shape)))
+    w = BinnedVolume(rng.normal(0, 0.3 / PARAMS.sigma, (3, 16, 16)), 0.5, 2)
+    defoci = (250.0, 450.0, 1000.0)
+    exit_waves, intermediates = multislice_forward(w, PARAMS, defoci, h)
+
+    def assert_close(actual, expected):
+        err = np.max(np.abs(actual - expected))
+        assert err <= 1e-12 * np.max(np.abs(expected))
+
+    for m in range(w.n_slabs):
+        t_psi = transmittance(w.values[m], PARAMS, grid).values * intermediates[m]
+        slab = band_limit(propagate(WaveField(grid, t_psi), w.slab_thickness))
+        assert_close(intermediates[m + 1], slab.values)
+    psi_exit = WaveField(grid, intermediates[-1])
+    assert len(exit_waves) == len(defoci)
+    for exit_wave, df in zip(exit_waves, defoci):
+        assert_close(exit_wave.values, apply_ctf(propagate(psi_exit, df), h).values)
 
 
 def test_intensity_basics():

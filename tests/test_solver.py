@@ -1,6 +1,7 @@
 """Proximal operators, Nesterov scalars, and the reconstruction loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -253,6 +254,20 @@ def test_reconstruct_step_bracket_picks_reasonable_step():
     # the diverging 1e9 candidate must be rejected and the run completes
     assert len(history) == 3
     assert history[-1] < history[0]
+
+
+def test_bracketed_reconstruct_equals_fixed_step_at_the_picked_step():
+    # The bracket's winner continues from its own iteration 1, so a bracketed
+    # run must equal a fixed-step run at the step the bracket picks.
+    v = _blob_volume(seed=14)
+    series = _series(v, n_tilts=4, dose=5e4, seed=15)
+    cfg = SolverConfig(step_size=None, reg_kind="tv", reg_weight=1e-2, n_b=2, max_iter=3,
+                       step_bracket=(1e3, 1e5, 1e9))
+    step, _ = bracket_step_size(series, cfg, PARAMS, TransferFunction.identity(series.grid))
+    volume, history = reconstruct(series, cfg, PARAMS)
+    fixed, fixed_history = reconstruct(series, replace(cfg, step_size=step), PARAMS)
+    assert np.array_equal(volume.values, fixed.values)
+    assert history == fixed_history
 
 
 def test_apply_prox_threshold_is_step_times_weight_over_background_counts():
