@@ -329,6 +329,12 @@ def trace_atoms(v: PotentialVolume, params: TraceParams | None = None) -> Traced
         return (f.converged and f.intensity >= floor
                 and width_floor <= f.width <= params.width_max_voxels)
 
+    # Detection fits by (site, window bytes). Away from the fitted peaks a
+    # residual volume equals the input bit for bit, so each round re-detects
+    # the same rejected candidates on the same windows; the fit is a pure
+    # function of its window, and a repeat reuses the earlier result.
+    detection_fits: dict[tuple, FitResult] = {}
+
     def detect_and_fit(source: np.ndarray, existing: list[FitResult]) -> list[FitResult]:
         filtered = dog_filter(PotentialVolume(source, v.pitch),
                               params.dog_sigma_small, params.dog_sigma_large)
@@ -344,8 +350,12 @@ def trace_atoms(v: PotentialVolume, params: TraceParams | None = None) -> Traced
                 d = np.sqrt(np.sum((existing_pos - site) ** 2, axis=1))
                 if d.min() < params.merge_radius_voxels:
                     continue
-            fit = fit_gaussian_3d(source, site, params.fit_window,
-                                  width_max=params.width_max_voxels)
+            window = source[tuple(slice(s - margin, s + margin + 1) for s in site)]
+            key = (tuple(site), window.tobytes())
+            fit = detection_fits.get(key)
+            if fit is None:
+                fit = detection_fits[key] = fit_gaussian_3d(
+                    source, site, params.fit_window, width_max=params.width_max_voxels)
             if fit_ok(fit):
                 results.append(fit)
         return results

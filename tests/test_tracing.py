@@ -17,6 +17,7 @@ from phasetomo import (
     score,
     trace_atoms,
 )
+from phasetomo import tracing
 from phasetomo.tracing import dog_kernel
 
 
@@ -196,6 +197,27 @@ def test_trace_prunes_weak_sites():
     v = render_potential(atoms, (20, 20, 20), 0.5)
     traced = trace_atoms(v)
     assert len(traced) == 1
+
+
+def test_trace_fits_each_detection_window_once(monkeypatch):
+    # A one-voxel spike, far from the atom's rendered peak, is a candidate
+    # that every detection pass rejects (too narrow) on an unchanged window.
+    _, v = _render_atoms([[3.0, 3.0, 3.0]])
+    values = v.values.copy()
+    values[15, 15, 15] = 100.0
+    windows = []
+
+    def recording_fit(source, site, window=7, width_max=None):
+        lo = np.asarray(site) - window // 2
+        patch = source[lo[0]:lo[0] + window, lo[1]:lo[1] + window, lo[2]:lo[2] + window]
+        windows.append((tuple(site), patch.tobytes()))
+        return fit_gaussian_3d(source, site, window, width_max=width_max)
+
+    monkeypatch.setattr(tracing, "fit_gaussian_3d", recording_fit)
+    traced = trace_atoms(PotentialVolume(values, 0.5))
+    assert len(traced) == 1
+    assert (15, 15, 15) in [site for site, _ in windows]
+    assert len(windows) == len(set(windows))
 
 
 # ---------------------------------------------------------------------------
