@@ -229,6 +229,8 @@ def simulate_tilt_series(
     elif h.grid != grid:
         raise ValueError("transfer function grid does not match volume")
 
+    # checked once here: rotation may drop a bad voxel before any slab sees it
+    _require_finite(v.values, "volume")
     images = np.empty((plan.n_tilts, plan.n_defoci) + grid.shape)
     dose = plan.dose_per_image
     for i, theta in enumerate(plan.tilt_angles):

@@ -5,8 +5,9 @@ A volume stores per-slice projected potential in volt*Angstrom: slice ``m``
 pitch in z. Dividing a voxel value by the pitch converts it to volts.
 
 The module provides:
-    * y-axis rotation by a three-pass shear decomposition, plus its exact
-      algebraic adjoint,
+    * y-axis rotation by a three-pass shear decomposition (Paeth 1986),
+      each pass a weighted shift of whole coordinate planes, plus its
+      exact algebraic adjoint,
     * slice binning (summing groups of consecutive slices) and its adjoint,
     * the projected-potential -> transmittance map ``t = exp(i sigma W)``,
     * the relativistic electron wavelength / interaction constant,
@@ -162,10 +163,13 @@ def max_slab_thickness(wavelength: float, pitch: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _rot90_xz(values: np.ndarray, k: int) -> np.ndarray:
-    """Exact rotation by k*90 degrees in the x-z plane (+x toward +z)."""
+    """Exact rotation by k*90 degrees in the x-z plane (+x toward +z).
+
+    ``k % 4 == 0`` returns ``values`` itself, not a copy.
+    """
     k %= 4
     if k == 0:
-        return values.copy()
+        return values
     if values.shape[0] != values.shape[2]:
         raise ValueError("x-z rotation requires nx == nz")
     if k == 1:
@@ -180,8 +184,12 @@ def _sheared(values: np.ndarray, shift_axis: int, coord_axis: int, coeff: float)
     coordinate along ``coord_axis``), with linear interpolation and zero
     fill outside the volume.
 
-    Each pass is exactly linear; its adjoint is the same pass with the
-    coefficient negated.
+    The shift is constant over each plane of fixed ``coord_axis``
+    coordinate, so the pass is a weighted shift of whole planes: plane c
+    gets ``(1 - frac) * v`` shifted by ``k`` plus ``frac * v`` shifted
+    by ``k + 1`` samples, where ``k + frac`` is its offset. Samples
+    shifted past the end are dropped. Each pass is exactly linear; its
+    adjoint is the same pass with the coefficient negated.
     """
     if coeff == 0.0:
         return values.copy()
@@ -191,30 +199,19 @@ def _sheared(values: np.ndarray, shift_axis: int, coord_axis: int, coeff: float)
     k = np.floor(offsets).astype(np.int64)
     frac = offsets - k
 
-    idx = np.arange(n_shift)
-    # source indices per (coord, shift) pair for the two interpolation taps
-    src0 = idx[None, :] - k[:, None]
-    src1 = src0 - 1
-
-    def expand(arr2d: np.ndarray) -> np.ndarray:
-        # lift a (coord, shift) array into broadcastable 3D index space,
-        # matching the memory order of the target axes
-        if shift_axis < coord_axis:
-            arr2d = arr2d.T
-        shape = [1, 1, 1]
-        shape[coord_axis] = n_coord
-        shape[shift_axis] = n_shift
-        return np.ascontiguousarray(arr2d).reshape(shape)
-
-    w1 = expand(np.broadcast_to(frac[:, None], src0.shape).copy())
-    w0 = 1.0 - w1
     out = np.zeros_like(values)
-    for src, w in ((src0, w0), (src1, w1)):
-        valid = (src >= 0) & (src < n_shift)
-        gathered = np.take_along_axis(
-            values, expand(np.clip(src, 0, n_shift - 1)), axis=shift_axis
-        )
-        out += w * expand(valid) * gathered
+    # views with the coordinate axis first and the shift axis last
+    src = np.moveaxis(values, (coord_axis, shift_axis), (0, -1))
+    dst = np.moveaxis(out, (coord_axis, shift_axis), (0, -1))
+    for c, (k_c, frac_c) in enumerate(zip(k.tolist(), frac)):
+        # tap k, then tap k + 1, each weight a float64 scalar: the same
+        # accumulation order and operand types as a dense gather, so the
+        # output bytes do not depend on how the pass is written
+        for shift, w in ((k_c, 1.0 - frac_c), (k_c + 1, frac_c)):
+            # out[..., i] += w * v[..., i - shift] where both indices are inside
+            lo, hi = max(0, shift), min(n_shift, n_shift + shift)
+            if lo < hi:
+                dst[c, ..., lo:hi] += w * src[c, ..., lo - shift:hi - shift]
     return out
 
 
@@ -228,6 +225,15 @@ def _split_angle(theta_deg: float) -> tuple[int, float]:
 def _shear_coeffs(phi_deg: float) -> tuple[float, float]:
     phi = np.deg2rad(phi_deg)
     return -np.tan(phi / 2.0), np.sin(phi)
+
+
+def _unshared(values: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """``values``, copied if it may share memory with ``source``.
+
+    The solver updates rotated volumes in place, so a rotation must
+    never return a view of its input.
+    """
+    return values.copy() if np.may_share_memory(values, source) else values
 
 
 def rotate(v: PotentialVolume, theta_deg: float) -> PotentialVolume:
@@ -248,7 +254,7 @@ def rotate(v: PotentialVolume, theta_deg: float) -> PotentialVolume:
         values = _sheared(values, 2, 0, alpha)
         values = _sheared(values, 0, 2, beta)
         values = _sheared(values, 2, 0, alpha)
-    return PotentialVolume(values, v.pitch)
+    return PotentialVolume(_unshared(values, v.values), v.pitch)
 
 
 def rotate_adjoint(v: PotentialVolume, theta_deg: float) -> PotentialVolume:
@@ -267,7 +273,7 @@ def rotate_adjoint(v: PotentialVolume, theta_deg: float) -> PotentialVolume:
         values = _sheared(values, 0, 2, -beta)
         values = _sheared(values, 2, 0, -alpha)
     values = _rot90_xz(values, -k)
-    return PotentialVolume(values, v.pitch)
+    return PotentialVolume(_unshared(values, v.values), v.pitch)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from phasetomo import cli, read_atoms_csv, read_tilt_series, read_volume
+from phasetomo import cli, read_atoms_csv, read_tilt_series, read_volume, write_volume
 from phasetomo.cli import main
 from phasetomo.tracing import read_sites_csv
 
@@ -101,6 +101,21 @@ def test_simulate_missing_wedge_span(phantom_dir, tmp_path):
     series = read_tilt_series(out)
     assert math.isinf(series.plan.total_dose)
     assert max(abs(t) for t in series.plan.tilt_angles) < 60.0
+
+
+def test_simulate_rejects_non_finite_volume(phantom_dir, tmp_path):
+    v = read_volume(phantom_dir / "volume.raw")
+    v.values[0, 0, 0] = np.nan  # a corner voxel that rotation drops at most tilts
+    write_volume(v, tmp_path / "nan.raw")
+    cfg = _write_config(tmp_path, "sim.json", {
+        "volume": str(tmp_path / "nan.raw"),
+        "n_tilts": 4,
+        "defoci": [250.0],
+        "total_dose": "infinite",
+    })
+    out = tmp_path / "series"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert not list(out.glob("img_t*_f*.raw"))
 
 
 def _small_series(phantom_dir, tmp_path, tag="series"):

@@ -18,6 +18,7 @@ from phasetomo import (
     transmittance,
     write_volume,
 )
+from phasetomo.volume import _sheared
 
 
 def _smooth_volume(n, seed=0):
@@ -150,6 +151,68 @@ def test_rotate_linearity():
     separate = a * rotate(PotentialVolume(x, 0.5), 33.0).values \
         + b * rotate(PotentialVolume(y, 0.5), 33.0).values
     assert np.allclose(combined, separate, atol=1e-10)
+
+
+def _gather_shear(values, shift_axis, coord_axis, coeff):
+    """Reference shear pass: full-size index arrays and two gathers, the
+    direct transcription of the pass's definition. The plane-wise pass
+    must reproduce it byte for byte on finite input."""
+    if coeff == 0.0:
+        return values.copy()
+    n_shift = values.shape[shift_axis]
+    n_coord = values.shape[coord_axis]
+    offsets = coeff * (np.arange(n_coord) - (n_coord - 1) / 2.0)
+    k = np.floor(offsets).astype(np.int64)
+    frac = offsets - k
+
+    idx = np.arange(n_shift)
+    # source indices per (coord, shift) pair for the two interpolation taps
+    src0 = idx[None, :] - k[:, None]
+    src1 = src0 - 1
+
+    def expand(arr2d: np.ndarray) -> np.ndarray:
+        # lift a (coord, shift) array into broadcastable 3D index space,
+        # matching the memory order of the target axes
+        if shift_axis < coord_axis:
+            arr2d = arr2d.T
+        shape = [1, 1, 1]
+        shape[coord_axis] = n_coord
+        shape[shift_axis] = n_shift
+        return np.ascontiguousarray(arr2d).reshape(shape)
+
+    w1 = expand(np.broadcast_to(frac[:, None], src0.shape).copy())
+    w0 = 1.0 - w1
+    out = np.zeros_like(values)
+    for src, w in ((src0, w0), (src1, w1)):
+        valid = (src >= 0) & (src < n_shift)
+        gathered = np.take_along_axis(
+            values, expand(np.clip(src, 0, n_shift - 1)), axis=shift_axis
+        )
+        out += w * expand(valid) * gathered
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("shape", [(16, 16, 16), (17, 17, 17), (12, 9, 12), (15, 20, 15)])
+@pytest.mark.parametrize("axes", [(2, 0), (0, 2)])
+@pytest.mark.parametrize("coeff", [0.0, 0.3249, -0.3249, 0.7071, -0.9, 3.0, -3.0])
+def test_shear_pass_is_byte_identical_to_gather(dtype, shape, axes, coeff):
+    rng = np.random.default_rng(12)
+    values = rng.normal(size=shape).astype(dtype)
+    if dtype is np.complex128:
+        values += 1j * rng.normal(size=shape)
+    values.flat[::5] *= -0.0  # signed zeros must come out as the gather's
+    out = _sheared(values, *axes, coeff)
+    ref = _gather_shear(values, *axes, coeff)
+    assert out.dtype == ref.dtype
+    assert out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("theta", [0.0, 90.0, 37.0])
+def test_rotation_never_returns_a_view_of_its_input(theta):
+    v = PotentialVolume(np.random.default_rng(13).normal(size=(8, 6, 8)), 0.5)
+    assert not np.shares_memory(rotate(v, theta).values, v.values)
+    assert not np.shares_memory(rotate_adjoint(v, theta).values, v.values)
 
 
 # ---------------------------------------------------------------------------
