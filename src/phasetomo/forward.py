@@ -100,6 +100,8 @@ class TiltSeries:
         expected = (self.plan.n_tilts, self.plan.n_defoci) + self.grid.shape
         if self.images.shape != expected:
             raise ValueError(f"images shape {self.images.shape} != {expected}")
+        if not np.all(np.isfinite(self.images)):
+            raise ValueError("intensity images must be finite")
         if np.any(self.images < 0):
             raise ValueError("intensity images must be non-negative")
 

@@ -219,7 +219,8 @@ def _sweep(
     """One pass over all tilts; returns the accumulated amplitude cost.
 
     With ``update`` the per-tilt gradient step U -= eta * R_adj(B_adj(g))
-    is applied in place, so later tilts see the earlier updates.
+    is applied in place, so later tilts see the earlier updates. Without
+    it ``u`` (real or complex) is only read and no residual is formed.
     ``tilt_order`` permutes the sweep order (diagnostics only; the final
     result is empirically insensitive to it).
     """
@@ -238,14 +239,13 @@ def _sweep(
         exit_waves, intermediates = multislice_forward(
             w, params, plan.defoci, h, cfg.anti_alias
         )
-        residuals = []
-        for j, exit_wave in enumerate(exit_waves):
-            amp_meas = measured_amplitude[i, j]
+        for exit_wave, amp_meas in zip(exit_waves, measured_amplitude[i]):
             diff = amp_meas - np.abs(exit_wave.values)
             cost += float(np.sum(diff * diff))
-            residuals.append(residual(exit_wave, amp_meas))
         if not update:
             continue
+        residuals = [residual(exit_wave, amp_meas)
+                     for exit_wave, amp_meas in zip(exit_waves, measured_amplitude[i])]
         grads = backpropagate(
             residuals, intermediates, w, params, plan.defoci, h, cfg.anti_alias
         )
@@ -306,8 +306,8 @@ def bracket_step_size(
         try:
             _outer_iteration(state, series, trial, params, h, tilt_order)
             with np.errstate(over="ignore", invalid="ignore"):
-                cost = _sweep(state.v_curr.values.astype(np.complex128), series, trial,
-                              params, h, update=False, tilt_order=tilt_order)
+                cost = _sweep(state.v_curr.values, series, trial, params, h,
+                              update=False, tilt_order=tilt_order)
         except (DivergenceError, NonFiniteError):
             continue
         if cost < best_cost:

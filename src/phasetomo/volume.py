@@ -14,7 +14,11 @@ The module provides:
     * the raw+JSON volume file format.
 
 Array layout is ``(nz, ny, nx)`` with x fastest, matching the on-disk
-format (x, then y, then z).
+format (x, then y, then z). Only the rotation's shear passes work in
+other layouts: C-contiguous ``(coord, shift, y)`` arrays, (z, x, y) and
+(x, z, y), with y fastest. There each interpolation tap of a plane is
+one contiguous block of ``(hi - lo) * ny`` elements rather than many
+short strided rows.
 """
 
 from __future__ import annotations
@@ -162,56 +166,51 @@ def max_slab_thickness(wavelength: float, pitch: float) -> float:
 # rotation about the y axis
 # ---------------------------------------------------------------------------
 
-def _rot90_xz(values: np.ndarray, k: int) -> np.ndarray:
-    """Exact rotation by k*90 degrees in the x-z plane (+x toward +z).
-
-    ``k % 4 == 0`` returns ``values`` itself, not a copy.
-    """
+def _rot90_view(values: np.ndarray, k: int) -> np.ndarray:
+    """Exact rotation by k*90 degrees in the x-z plane (+x toward +z), as
+    a view of ``values`` (no copy)."""
     k %= 4
     if k == 0:
         return values
-    if values.shape[0] != values.shape[2]:
-        raise ValueError("x-z rotation requires nx == nz")
-    if k == 1:
-        return np.ascontiguousarray(values.transpose(2, 1, 0)[:, :, ::-1])
     if k == 2:
-        return np.ascontiguousarray(values[::-1, :, ::-1])
-    return np.ascontiguousarray(values.transpose(2, 1, 0)[::-1, :, :])
+        return values[::-1, :, ::-1]
+    turned = values.transpose(2, 1, 0)
+    return turned[:, :, ::-1] if k == 1 else turned[::-1]
 
 
-def _sheared(values: np.ndarray, shift_axis: int, coord_axis: int, coeff: float) -> np.ndarray:
-    """One shear pass: translate along ``shift_axis`` by coeff*(centered
-    coordinate along ``coord_axis``), with linear interpolation and zero
-    fill outside the volume.
+def _sheared(src: np.ndarray, coeff: float, out: np.ndarray) -> np.ndarray:
+    """One shear pass from ``src`` into ``out``, both C-contiguous arrays
+    of one shape laid out as (coord, shift, y), in separate memory:
+    translate along axis 1 by coeff*(centered coordinate along axis 0),
+    with linear interpolation and zero fill outside the volume.
 
-    The shift is constant over each plane of fixed ``coord_axis``
-    coordinate, so the pass is a weighted shift of whole planes: plane c
-    gets ``(1 - frac) * v`` shifted by ``k`` plus ``frac * v`` shifted
-    by ``k + 1`` samples, where ``k + frac`` is its offset. Samples
-    shifted past the end are dropped. Each pass is exactly linear; its
-    adjoint is the same pass with the coefficient negated.
+    The shift is constant over each plane of fixed coordinate, so the
+    pass is a weighted shift of whole planes: plane c gets
+    ``(1 - frac) * v`` shifted by ``k`` plus ``frac * v`` shifted by
+    ``k + 1`` samples, where ``k + frac`` is its offset. Samples shifted
+    past the end are dropped. In this layout each tap is one contiguous
+    block of whole (shift, y) rows. Each pass is exactly linear; its
+    adjoint is the same pass with the coefficient negated. Returns
+    ``out``.
     """
     if coeff == 0.0:
-        return values.copy()
-    n_shift = values.shape[shift_axis]
-    n_coord = values.shape[coord_axis]
+        out[...] = src
+        return out
+    n_coord, n_shift = src.shape[:2]
     offsets = coeff * (np.arange(n_coord) - (n_coord - 1) / 2.0)
     k = np.floor(offsets).astype(np.int64)
     frac = offsets - k
 
-    out = np.zeros_like(values)
-    # views with the coordinate axis first and the shift axis last
-    src = np.moveaxis(values, (coord_axis, shift_axis), (0, -1))
-    dst = np.moveaxis(out, (coord_axis, shift_axis), (0, -1))
+    out.fill(0)
     for c, (k_c, frac_c) in enumerate(zip(k.tolist(), frac)):
         # tap k, then tap k + 1, each weight a float64 scalar: the same
         # accumulation order and operand types as a dense gather, so the
         # output bytes do not depend on how the pass is written
         for shift, w in ((k_c, 1.0 - frac_c), (k_c + 1, frac_c)):
-            # out[..., i] += w * v[..., i - shift] where both indices are inside
+            # out[c, i] += w * v[c, i - shift] where both indices are inside
             lo, hi = max(0, shift), min(n_shift, n_shift + shift)
             if lo < hi:
-                dst[c, ..., lo:hi] += w * src[c, ..., lo - shift:hi - shift]
+                out[c, lo:hi] += w * src[c, lo - shift:hi - shift]
     return out
 
 
@@ -227,13 +226,31 @@ def _shear_coeffs(phi_deg: float) -> tuple[float, float]:
     return -np.tan(phi / 2.0), np.sin(phi)
 
 
-def _unshared(values: np.ndarray, source: np.ndarray) -> np.ndarray:
-    """``values``, copied if it may share memory with ``source``.
+def _shear_xzx(zyx: np.ndarray, alpha: float, beta: float, k_after: int) -> np.ndarray:
+    """The x, z, x shear passes of a (z, y, x) array with nz == nx, then
+    an exact rotation by ``k_after`` * 90 degrees; returns a new
+    C-contiguous (z, y, x) array.
 
-    The solver updates rotated volumes in place, so a rotation must
-    never return a view of its input.
+    The passes run on (z, x, y) and (x, z, y) copies. Since nz == nx the
+    two layouts have one shape, so two buffers serve every pass and swap
+    (fresh large arrays cost page faults), and the result is written
+    back into the first.
     """
-    return values.copy() if np.may_share_memory(values, source) else values
+    a = zyx.transpose(0, 2, 1).copy()  # (z, x, y); always a copy, never a view
+    b = np.empty_like(a)
+    _sheared(a, alpha, b)
+    a[...] = b.transpose(1, 0, 2)  # (x, z, y)
+    _sheared(a, beta, b)
+    a[...] = b.transpose(1, 0, 2)  # (z, x, y)
+    _sheared(a, alpha, b)
+    out = a.reshape(zyx.shape)
+    out[...] = _rot90_view(b.transpose(0, 2, 1), k_after)
+    return out
+
+
+def _check_rotatable(v: PotentialVolume, k: int, phi: float) -> None:
+    if (k % 4 != 0 or phi != 0.0) and v.nx != v.nz:
+        raise ValueError("rotation requires nx == nz")
 
 
 def rotate(v: PotentialVolume, theta_deg: float) -> PotentialVolume:
@@ -244,36 +261,35 @@ def rotate(v: PotentialVolume, theta_deg: float) -> PotentialVolume:
     the residual angle, so the residual shears stay well conditioned for
     any input angle. Voxels sheared outside the volume are dropped,
     vacated voxels are zero.
+
+    The shear passes run in (z, x, y) and (x, z, y) layouts, y fastest,
+    so that each plane's interpolation taps are contiguous blocks rather
+    than short strided rows. The permutation is a view, folded into the
+    copy into the first layout; a last copy brings the result back to
+    (z, y, x). The result never shares memory with the input.
     """
     k, phi = _split_angle(theta_deg)
-    if (k % 4 != 0 or phi != 0.0) and v.nx != v.nz:
-        raise ValueError("rotation requires nx == nz")
-    values = _rot90_xz(v.values, k)
-    if phi != 0.0:
-        alpha, beta = _shear_coeffs(phi)
-        values = _sheared(values, 2, 0, alpha)
-        values = _sheared(values, 0, 2, beta)
-        values = _sheared(values, 2, 0, alpha)
-    return PotentialVolume(_unshared(values, v.values), v.pitch)
+    _check_rotatable(v, k, phi)
+    turned = _rot90_view(v.values, k)
+    if phi == 0.0:
+        return PotentialVolume(turned.copy(), v.pitch)
+    return PotentialVolume(_shear_xzx(turned, *_shear_coeffs(phi), 0), v.pitch)
 
 
 def rotate_adjoint(v: PotentialVolume, theta_deg: float) -> PotentialVolume:
     """Exact algebraic adjoint of :func:`rotate` at the same angle.
 
     Transposes each shear pass (negated coefficient) in reverse order,
-    then inverts the 90-degree permutation.
+    then inverts the 90-degree permutation, as a view folded into the
+    final copy back to (z, y, x). The result never shares memory with
+    the input.
     """
     k, phi = _split_angle(theta_deg)
-    if (k % 4 != 0 or phi != 0.0) and v.nx != v.nz:
-        raise ValueError("rotation requires nx == nz")
-    values = v.values
-    if phi != 0.0:
-        alpha, beta = _shear_coeffs(phi)
-        values = _sheared(values, 2, 0, -alpha)
-        values = _sheared(values, 0, 2, -beta)
-        values = _sheared(values, 2, 0, -alpha)
-    values = _rot90_xz(values, -k)
-    return PotentialVolume(_unshared(values, v.values), v.pitch)
+    _check_rotatable(v, k, phi)
+    if phi == 0.0:
+        return PotentialVolume(_rot90_view(v.values, -k).copy(), v.pitch)
+    alpha, beta = _shear_coeffs(phi)
+    return PotentialVolume(_shear_xzx(v.values, -alpha, -beta, -k), v.pitch)
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,20 @@ def test_reconstruct_diverging_step_exits_3(phantom_dir, tmp_path):
                  "--out", str(tmp_path / "recdiv")]) == 3
 
 
+def test_reconstruct_rejects_non_finite_series_image(phantom_dir, tmp_path):
+    series_dir = _small_series(phantom_dir, tmp_path, "nan")
+    image = series_dir / "img_t0002_f01.raw"
+    pixels = np.frombuffer(image.read_bytes(), dtype="<f4").copy()
+    pixels[17] = np.nan  # NaN < 0 is False: the sign check alone lets it through
+    image.write_bytes(pixels.tobytes())
+    cfg = _write_config(tmp_path, "rec_nan.json", {"reg_kind": "tv", "reg_weight": 1e-3,
+                                                   "n_b": 4, "max_iter": 2})
+    out = tmp_path / "recnan"
+    assert main(["reconstruct", "--config", cfg, "--series", str(series_dir),
+                 "--out", str(out)]) == cli.EXIT_CONFIG
+    assert not (out / "reconstruction.raw").exists()
+
+
 def test_sweep_emits_one_volume_per_weight(phantom_dir, tmp_path, monkeypatch):
     series_dir = _small_series(phantom_dir, tmp_path, "sweep")
     reads = []

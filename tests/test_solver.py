@@ -270,6 +270,47 @@ def test_bracketed_reconstruct_equals_fixed_step_at_the_picked_step():
     assert history == fixed_history
 
 
+def test_trial_cost_of_real_prox_output_equals_its_complex_copy():
+    # the bracket scores the float64 prox output; its complex128 copy has an
+    # imaginary part of exactly 0, so both must give the same cost
+    v = _blob_volume(seed=16)
+    series = _series(v, n_tilts=4, dose=5e4, seed=17)
+    h = TransferFunction.identity(series.grid)
+    cfg = SolverConfig(step_size=None, reg_kind="tv", reg_weight=1e-2, n_b=2,
+                       step_bracket=(1e3, 1e5, 1e9))
+    step, state = bracket_step_size(series, cfg, PARAMS, h)
+    trial = replace(cfg, step_size=step)
+    real = state.v_curr.values
+    assert real.dtype == np.float64 and np.any(real > 0)
+    cost = solver._sweep(real, series, trial, PARAMS, h, update=False)
+    assert cost == solver._sweep(real.astype(np.complex128), series, trial, PARAMS, h,
+                                 update=False)
+
+
+def test_sweep_without_update_forms_no_residual_and_no_gradient(monkeypatch):
+    v = _blob_volume(seed=18)
+    series = _series(v, n_tilts=3)
+    h = TransferFunction.identity(series.grid)
+    cfg = SolverConfig(step_size=1e4, reg_kind="positivity", n_b=2)
+    calls = {"residual": 0, "backpropagate": 0}
+
+    def counted(name):
+        original = getattr(solver, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(solver, name, counted(name))
+    u = np.zeros(v.values.shape, np.complex128)
+    solver._sweep(u, series, cfg, PARAMS, h, update=False)
+    assert calls == {"residual": 0, "backpropagate": 0}
+    solver._sweep(u, series, cfg, PARAMS, h)  # the counters do see an updating sweep
+    assert calls == {"residual": 3 * 2, "backpropagate": 3}
+
+
 def test_apply_prox_threshold_is_step_times_weight_over_background_counts():
     rng = np.random.default_rng(9)
     v = PotentialVolume(rng.normal(0.0, 5.0, (6, 6, 6)), 0.5)

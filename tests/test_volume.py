@@ -18,7 +18,8 @@ from phasetomo import (
     transmittance,
     write_volume,
 )
-from phasetomo.volume import _sheared
+from phasetomo.forward import uniform_tilt_angles
+from phasetomo.volume import _shear_coeffs, _sheared, _split_angle
 
 
 def _smooth_volume(n, seed=0):
@@ -202,10 +203,68 @@ def test_shear_pass_is_byte_identical_to_gather(dtype, shape, axes, coeff):
     if dtype is np.complex128:
         values += 1j * rng.normal(size=shape)
     values.flat[::5] *= -0.0  # signed zeros must come out as the gather's
-    out = _sheared(values, *axes, coeff)
+    shift_axis, coord_axis = axes
+    planes = np.moveaxis(values, (coord_axis, shift_axis), (0, 1)).copy()
+    out = _sheared(planes, coeff, np.empty_like(planes))
+    out = np.moveaxis(out, (0, 1), (coord_axis, shift_axis))
     ref = _gather_shear(values, *axes, coeff)
     assert out.dtype == ref.dtype
     assert out.tobytes() == ref.tobytes()
+
+
+def _rot90_xz(values, k):
+    """Exact rotation by k*90 degrees in the x-z plane (+x toward +z).
+
+    ``k % 4 == 0`` returns ``values`` itself, not a copy.
+    """
+    k %= 4
+    if k == 0:
+        return values
+    if values.shape[0] != values.shape[2]:
+        raise ValueError("x-z rotation requires nx == nz")
+    if k == 1:
+        return np.ascontiguousarray(values.transpose(2, 1, 0)[:, :, ::-1])
+    if k == 2:
+        return np.ascontiguousarray(values[::-1, :, ::-1])
+    return np.ascontiguousarray(values.transpose(2, 1, 0)[::-1, :, :])
+
+
+def _reference_rotation(values, theta, adjoint=False):
+    """Rotation (or its adjoint) on the (z, y, x) array itself: the 90-degree
+    copy, then three gather passes with x = axis 2 and z = axis 0."""
+    k, phi = _split_angle(theta)
+    alpha, beta = _shear_coeffs(phi) if phi != 0.0 else (0.0, 0.0)
+    if adjoint:
+        alpha, beta = -alpha, -beta
+    else:
+        values = _rot90_xz(values, k)
+    if phi != 0.0:
+        values = _gather_shear(values, 2, 0, alpha)
+        values = _gather_shear(values, 0, 2, beta)
+        values = _gather_shear(values, 2, 0, alpha)
+    return _rot90_xz(values, -k) if adjoint else values
+
+
+_ORACLE_ANGLES = list(uniform_tilt_angles(20, 180.0)) + [
+    0.0, 45.0, -45.0, 90.0, -90.0, 135.0, -135.0, 180.0]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.float32, np.complex64])
+@pytest.mark.parametrize("shape", [(16, 16, 16), (17, 9, 17), (15, 20, 15)])
+def test_rotation_is_byte_identical_to_gather_reference(dtype, shape):
+    rng = np.random.default_rng(14)
+    values = rng.normal(size=shape).astype(dtype)
+    if np.iscomplexobj(values):
+        values += 1j * rng.normal(size=shape).astype(dtype)
+    values.flat[::5] *= -0.0  # signed zeros must come out as the reference's
+    v = PotentialVolume(values, 0.5)
+    for theta in _ORACLE_ANGLES:
+        for op, adjoint in ((rotate, False), (rotate_adjoint, True)):
+            out = op(v, theta).values
+            ref = _reference_rotation(values, theta, adjoint)
+            assert out.dtype == ref.dtype, (theta, op.__name__)
+            assert out.flags.c_contiguous, (theta, op.__name__)
+            assert out.tobytes() == ref.tobytes(), (theta, op.__name__)
 
 
 @pytest.mark.parametrize("theta", [0.0, 90.0, 37.0])
@@ -213,6 +272,17 @@ def test_rotation_never_returns_a_view_of_its_input(theta):
     v = PotentialVolume(np.random.default_rng(13).normal(size=(8, 6, 8)), 0.5)
     assert not np.shares_memory(rotate(v, theta).values, v.values)
     assert not np.shares_memory(rotate_adjoint(v, theta).values, v.values)
+
+
+def test_rotation_of_a_one_wide_volume_leaves_its_input_alone():
+    # with ny == 1 the (z, x, y) view of the input is already C-contiguous,
+    # so only an explicit copy keeps the passes out of the input's memory
+    values = np.random.default_rng(15).normal(size=(9, 1, 9))
+    v = PotentialVolume(values.copy(), 0.5)
+    for op in (rotate, rotate_adjoint):
+        out = op(v, 37.0).values
+        assert not np.shares_memory(out, v.values)
+        assert np.array_equal(v.values, values)
 
 
 # ---------------------------------------------------------------------------
