@@ -18,6 +18,7 @@ from .forward import (
     TiltSeries,
     apply_poisson,
     intensity,
+    multislice_factors,
     multislice_forward,
     read_tilt_series,
     simulate_tilt_series,

@@ -7,6 +7,11 @@ free-space propagation), filtered by the microscope transfer function,
 and detected as intensity. Measurements are Poisson draws at the chosen
 electron dose.
 
+The spectral factors of that chain (slab propagator, per-defocus exit
+factors) are built once by :func:`multislice_factors`; the caller passes
+the one value to :func:`multislice_forward` and to the adjoint pass,
+:func:`phasetomo.gradients.backpropagate`.
+
 Ideal intensities are kept relative to unit incident flux; conversion to
 electron counts happens only in :func:`apply_poisson`.
 """
@@ -118,34 +123,55 @@ class TiltSeries:
         return self.images / self.background_counts
 
 
+@dataclass(frozen=True, eq=False)
+class MultisliceFactors:
+    """The spectral factors of one multislice operator on ``grid``, in fft
+    order: the slab propagator P_dz and the exit factors P_df * H stacked
+    as (n_defoci, ny, nx). Both arrays are read-only."""
+
+    grid: GridSpec
+    slab_thickness: float
+    slab_factor: np.ndarray
+    exit_factors: np.ndarray
+
+    def require_slabs_of(self, w: BinnedVolume) -> None:
+        """Raise ValueError unless these factors were built for the slabs of ``w``."""
+        if self.slab_thickness != w.slab_thickness:
+            raise ValueError(f"factors built for {self.slab_thickness} A slabs, "
+                             f"volume has {w.slab_thickness} A slabs")
+
+
 def multislice_factors(
     h: TransferFunction,
     slab_thickness: float,
     defoci: tuple[float, ...] | list[float],
     anti_alias: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Slab propagator P_dz (2/3-Nyquist band-limited when ``anti_alias``)
-    and exit factors P_df * H stacked as (n_defoci, ny, nx), on ``h.grid``
-    in fft order. The adjoint pass multiplies by their complex conjugates.
+) -> MultisliceFactors:
+    """Factors of the multislice operator on ``h.grid`` for slabs of
+    ``slab_thickness``: P_dz (2/3-Nyquist band-limited when ``anti_alias``)
+    and P_df * H for each defocus. Build them once per volume and pass the
+    same value to :func:`multislice_forward` and to
+    :func:`phasetomo.gradients.backpropagate`, whose adjoint pass
+    multiplies by their complex conjugates.
     """
     slab_factor = propagation_kernel(h.grid, slab_thickness)
     if anti_alias:
         slab_factor = slab_factor * band_mask(h.grid, ANTI_ALIAS_FRACTION)
     exit_factors = np.stack([propagation_kernel(h.grid, df) * h.values for df in defoci])
-    return slab_factor, exit_factors
+    slab_factor.flags.writeable = False
+    exit_factors.flags.writeable = False
+    return MultisliceFactors(h.grid, slab_thickness, slab_factor, exit_factors)
 
 
 def multislice_forward(
     w: BinnedVolume,
     params: InteractionParams,
-    defoci: tuple[float, ...] | list[float],
-    h: TransferFunction,
-    anti_alias: bool = True,
+    factors: MultisliceFactors,
 ) -> tuple[list[WaveField], list[np.ndarray]]:
     """Propagate a unit plane wave through the slabs of ``w``.
 
     Per slab m: t_m = exp(i sigma W_m); psi_{m+1} = P_dz(t_m * psi_m),
-    with an optional 2/3-Nyquist band limit folded into each slab
+    with the band limit of ``factors`` (if any) folded into each slab
     propagation (applied right after the transmittance multiplication).
     Each defocus then yields an exit wave H{P_df(psi_exit)}.
 
@@ -153,23 +179,23 @@ def multislice_forward(
     psi_1..psi_{n+1} (needed by the backward pass).
     """
     ny, nx = w.values.shape[1:]
-    grid = h.grid
+    grid = factors.grid
     if (grid.ny, grid.nx) != (ny, nx):
-        raise ValueError("transfer function grid does not match volume slabs")
+        raise ValueError("factors grid does not match volume slabs")
     if abs(grid.wavelength - params.wavelength) > 1e-9 * params.wavelength:
         raise ValueError("grid wavelength does not match interaction parameters")
+    factors.require_slabs_of(w)
     _require_finite(w.values, "binned volume")
 
-    slab_factor, exit_factors = multislice_factors(h, w.slab_thickness, defoci, anti_alias)
     psi = np.ones(grid.shape, dtype=np.complex128)
     intermediates = [psi]
     for m in range(w.n_slabs):
         t_m = np.exp(1j * params.sigma * w.values[m])
         g_m = t_m * psi
-        psi = np.fft.ifft2(slab_factor * np.fft.fft2(g_m, norm="ortho"), norm="ortho")
+        psi = np.fft.ifft2(factors.slab_factor * np.fft.fft2(g_m, norm="ortho"), norm="ortho")
         intermediates.append(psi)
 
-    exit_spectra = np.fft.fft2(psi, norm="ortho") * exit_factors
+    exit_spectra = np.fft.fft2(psi, norm="ortho") * factors.exit_factors
     exit_waves = [WaveField(grid, e) for e in np.fft.ifft2(exit_spectra, norm="ortho")]
     return exit_waves, intermediates
 
@@ -233,11 +259,12 @@ def simulate_tilt_series(
 
     # checked once here: rotation may drop a bad voxel before any slab sees it
     _require_finite(v.values, "volume")
+    factors = multislice_factors(h, n_b * v.pitch, plan.defoci, anti_alias)
     images = np.empty((plan.n_tilts, plan.n_defoci) + grid.shape)
     dose = plan.dose_per_image
     for i, theta in enumerate(plan.tilt_angles):
         w = bin_slices(rotate(v, theta), n_b)
-        exit_waves, _ = multislice_forward(w, params, plan.defoci, h, anti_alias)
+        exit_waves, _ = multislice_forward(w, params, factors)
         for j, exit_wave in enumerate(exit_waves):
             ideal = intensity(exit_wave)
             images[i, j] = apply_poisson(ideal, dose, grid.pitch, plan.seed, i, j)

@@ -5,11 +5,12 @@ which suits Poisson-dominated counting noise. Its gradient with respect
 to each slab of projected potential is computed by running the exact
 adjoint of the forward multislice chain over the residual fields.
 
-The backward pass runs the forward chain's factors in reverse, each
-replaced by its complex conjugate (the adjoint of a spectral
-multiplication). With P_dz the slab propagator and P_df_j H the exit
-factor of defocus j, both from :func:`phasetomo.forward.multislice_factors`,
-phi the adjoint field and t_m the forward transmittance of slab m:
+The backward pass takes the same factors value as the forward pass and
+runs its factors in reverse, each replaced by its complex conjugate (the
+adjoint of a spectral multiplication). With P_dz the slab propagator and
+P_df_j H the exit factor of defocus j, both held by the
+:class:`phasetomo.forward.MultisliceFactors` the caller built, phi the
+adjoint field and t_m the forward transmittance of slab m:
 
     phi <- sum_j F^-1 { conj(P_df_j H) F { r_j } }
     for m = n_slabs .. 1:
@@ -26,11 +27,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import TransferFunction, WaveField
+from .fields import WaveField
 # Not called here (the backward pass conjugates forward's factors); the two
 # names stay importable from this module because perfbench/layers.py wraps them.
 from .fields import band_mask, propagation_kernel  # noqa: F401
-from .forward import multislice_factors
+from .forward import MultisliceFactors
 from .volume import BinnedVolume, InteractionParams
 
 AMPLITUDE_EPS = 1e-12
@@ -63,30 +64,28 @@ def backpropagate(
     intermediates: list[np.ndarray],
     w: BinnedVolume,
     params: InteractionParams,
-    defoci: tuple[float, ...] | list[float],
-    h: TransferFunction,
-    anti_alias: bool = True,
+    factors: MultisliceFactors,
 ) -> list[np.ndarray]:
     """Backward pass producing one complex gradient field per slab.
 
     ``intermediates`` must be exactly the list returned by
     :func:`phasetomo.forward.multislice_forward` on the same slabs and
-    settings; the same band-limit choice must be passed so the adjoint
-    matches the forward operator.
+    ``factors``; the pass applies the conjugates of those factors, so it
+    is the adjoint of that forward operator.
     """
     n_slabs = w.n_slabs
     if len(intermediates) != n_slabs + 1:
         raise ValueError(
             f"expected {n_slabs + 1} intermediate waves, got {len(intermediates)}"
         )
-    if len(residuals) != len(defoci):
+    if len(residuals) != len(factors.exit_factors):
         raise ValueError("one residual field per defocus is required")
+    factors.require_slabs_of(w)
 
-    slab_factor, exit_factors = multislice_factors(h, w.slab_thickness, defoci, anti_alias)
     # refocus all residuals to the end of the sample
     spectra = np.fft.fft2(np.asarray(residuals, dtype=np.complex128), norm="ortho")
-    phi = np.fft.ifft2(spectra * np.conj(exit_factors), norm="ortho").sum(axis=0)
-    slab_factor_back = np.conj(slab_factor)
+    phi = np.fft.ifft2(spectra * np.conj(factors.exit_factors), norm="ortho").sum(axis=0)
+    slab_factor_back = np.conj(factors.slab_factor)
 
     gradients: list[np.ndarray | None] = [None] * n_slabs
     sigma = params.sigma

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .fields import GridSpec, NonFiniteError, TransferFunction
-from .forward import TiltSeries, multislice_forward
+from .forward import TiltSeries, multislice_factors, multislice_forward
 from .gradients import backpropagate, residual
 from .volume import (
     BinnedVolume,
@@ -73,7 +73,6 @@ class SolverConfig:
     tv_inner_iters: int = 20
     anti_alias: bool = True
     step_bracket: tuple[float, float, float] = (3e2, 3e3, 3e4)
-    cost_log_path: str | None = None
 
     def __post_init__(self):
         if self.step_size is not None and self.step_size <= 0:
@@ -86,6 +85,8 @@ class SolverConfig:
             raise ValueError("max_iter must be >= 1")
         if self.n_b < 1:
             raise ValueError("binning factor must be >= 1")
+        if self.tv_inner_iters < 1:
+            raise ValueError("tv_inner_iters must be >= 1")
 
 
 @dataclass
@@ -226,6 +227,7 @@ def _sweep(
     """
     plan = series.plan
     pitch = series.grid.pitch
+    factors = multislice_factors(h, cfg.n_b * pitch, plan.defoci, cfg.anti_alias)
     measured_amplitude = np.sqrt(series.normalized())
     nz = u.shape[0]
     cost = 0.0
@@ -236,9 +238,7 @@ def _sweep(
             raise DivergenceError("step size too large")
         vol = PotentialVolume(u, pitch)
         w = bin_slices(rotate(vol, theta), cfg.n_b)
-        exit_waves, intermediates = multislice_forward(
-            w, params, plan.defoci, h, cfg.anti_alias
-        )
+        exit_waves, intermediates = multislice_forward(w, params, factors)
         for exit_wave, amp_meas in zip(exit_waves, measured_amplitude[i]):
             diff = amp_meas - np.abs(exit_wave.values)
             cost += float(np.sum(diff * diff))
@@ -246,9 +246,7 @@ def _sweep(
             continue
         residuals = [residual(exit_wave, amp_meas)
                      for exit_wave, amp_meas in zip(exit_waves, measured_amplitude[i])]
-        grads = backpropagate(
-            residuals, intermediates, w, params, plan.defoci, h, cfg.anti_alias
-        )
+        grads = backpropagate(residuals, intermediates, w, params, factors)
         g_binned = BinnedVolume(np.stack(grads), pitch, cfg.n_b)
         g_full = bin_adjoint(g_binned, cfg.n_b, nz)
         g_vol = rotate_adjoint(g_full, theta)
@@ -355,9 +353,6 @@ def reconstruct(
         state = _initial_state(grid)
     while state.k < cfg.max_iter:
         _outer_iteration(state, series, cfg, params, h, tilt_order)
-
-    if cfg.cost_log_path:
-        write_cost_history(state.cost_history, cfg.cost_log_path)
     return state.v_curr, state.cost_history
 
 

@@ -41,8 +41,14 @@ class TraceParams:
     max_refine_iters: int = 12
     min_removed_stop: int = 2
     rms_stop_voxels: float = 0.005
-    fit_window: int = 7
+    fit_window: int = 7                # odd edge of the cubic fit patch, voxels
     candidate_min_ratio: float = 0.5   # raw-value gate, fraction of the floor
+
+    def __post_init__(self):
+        # a 3^3 patch (27 samples) is the smallest that centres on the site
+        # and over-determines the 6 Gaussian parameters
+        if self.fit_window < 3 or self.fit_window % 2 == 0:
+            raise ValueError(f"fit_window must be an odd integer >= 3, got {self.fit_window}")
 
 
 @dataclass
@@ -260,13 +266,10 @@ def fit_gaussian_3d(v: PotentialVolume | np.ndarray, site, window: int = 7,
     return _fit_patch(patch, lo.astype(np.float64), None, width_max=width_max)
 
 
-def _render_sites(shape: tuple[int, int, int], fits: list[FitResult],
-                  skip: int | None = None) -> np.ndarray:
+def _render_sites(shape: tuple[int, int, int], fits: list[FitResult]) -> np.ndarray:
     """Sum of the fitted Gaussian peaks (no backgrounds), 4-sigma windows."""
     out = np.zeros(shape)
-    for i, f in enumerate(fits):
-        if i == skip:
-            continue
+    for f in fits:
         reach = 4.0 * f.width
         lo = np.maximum(np.floor(f.position - reach).astype(int), 0)
         hi = np.minimum(np.ceil(f.position + reach).astype(int) + 1, shape)

@@ -383,7 +383,7 @@ def bin_adjoint(vb: BinnedVolume, n_b: int, nz: int) -> PotentialVolume:
     replicated = np.repeat(vb.values, n_b, axis=0)
     if nz > replicated.shape[0]:
         raise ValueError("target nz exceeds the binned extent")
-    return PotentialVolume(replicated[:nz].copy(), vb.pitch)
+    return PotentialVolume(replicated[:nz], vb.pitch)  # np.repeat made a fresh array
 
 
 def transmittance(slab: np.ndarray, params: InteractionParams, grid: GridSpec) -> WaveField:

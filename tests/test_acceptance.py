@@ -30,6 +30,7 @@ from phasetomo import (
     electron_wavelength,
     interaction_parameter,
     max_slab_thickness,
+    multislice_factors,
     multislice_forward,
     propagate,
     prox_lasso,
@@ -225,12 +226,13 @@ def test_criterion_3_gradient_against_finite_differences():
     defoci = (250.0, 1000.0)
     w_true = rng.normal(0.0, 0.1 / PARAMS.sigma, (4, 8, 8))
     w_meas = w_true + rng.normal(0.0, 0.02 / PARAMS.sigma, w_true.shape)
-    exit_meas, _ = multislice_forward(BinnedVolume(w_meas, 0.5, 1), PARAMS, defoci, h)
+    factors = multislice_factors(h, 0.5, defoci)
+    exit_meas, _ = multislice_forward(BinnedVolume(w_meas, 0.5, 1), PARAMS, factors)
     measured_amp = [np.abs(e.values) for e in exit_meas]
 
     def cost_of(w_vals):
         exit_waves, inter = multislice_forward(BinnedVolume(w_vals, 0.5, 1),
-                                               PARAMS, defoci, h)
+                                               PARAMS, factors)
         c = sum(float(np.sum((measured_amp[j] - np.abs(e.values)) ** 2))
                 for j, e in enumerate(exit_waves))
         return c, exit_waves, inter
@@ -238,7 +240,7 @@ def test_criterion_3_gradient_against_finite_differences():
     c0, exit_waves, inter = cost_of(w_true)
     res = [residual(e, measured_amp[j]) for j, e in enumerate(exit_waves)]
     g = np.stack(backpropagate(res, inter, BinnedVolume(w_true, 0.5, 1), PARAMS,
-                               defoci, h))
+                               factors))
 
     # central differences at 20 random voxels; d(e^2)/dV = 2*Re(g)
     step = 1e-4 * np.max(np.abs(w_true))

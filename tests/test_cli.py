@@ -6,7 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from phasetomo import cli, read_atoms_csv, read_tilt_series, read_volume, write_volume
+from phasetomo import (
+    PotentialVolume,
+    cli,
+    read_atoms_csv,
+    read_tilt_series,
+    read_volume,
+    write_volume,
+)
 from phasetomo.cli import main
 from phasetomo.tracing import read_sites_csv
 
@@ -197,6 +204,30 @@ def test_sweep_emits_one_volume_per_weight(phantom_dir, tmp_path, monkeypatch):
     assert len(volumes) == 3
     assert len(sorted(out.glob("cost_w*.csv"))) == 3
     assert len(reads) == 1  # the series is read once for all weights
+
+
+@pytest.mark.parametrize("fit_window", [-1, 0, 1, 6])
+def test_trace_rejects_fit_window_not_odd_and_at_least_3(tmp_path, capsys, fit_window):
+    write_volume(PotentialVolume(np.zeros((12, 12, 12)), 0.5), tmp_path / "v.raw")
+    cfg = _write_config(tmp_path, "trace.json", {"fit_window": fit_window})
+    out = tmp_path / "trace"
+    assert main(["trace", "--config", cfg, "--volume", str(tmp_path / "v.raw"),
+                 "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "fit_window" in capsys.readouterr().err
+    assert not (out / "traced.csv").exists()
+
+
+def test_reconstruct_rejects_zero_tv_inner_iters(phantom_dir, tmp_path, capsys):
+    series_dir = _small_series(phantom_dir, tmp_path, "tv0")
+    cfg = _write_config(tmp_path, "rec_tv0.json", {
+        "step_size": 3e4, "reg_kind": "tv", "reg_weight": 1e-5, "n_b": 4,
+        "max_iter": 1, "tv_inner_iters": 0,
+    })
+    out = tmp_path / "rectv0"
+    assert main(["reconstruct", "--config", cfg, "--series", str(series_dir),
+                 "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "tv_inner_iters" in capsys.readouterr().err
+    assert not (out / "reconstruction.raw").exists()
 
 
 def test_trace_and_evaluate_roundtrip(phantom_dir, tmp_path):

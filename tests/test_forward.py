@@ -17,6 +17,7 @@ from phasetomo import (
     band_limit,
     intensity,
     interaction_parameter,
+    multislice_factors,
     multislice_forward,
     propagate,
     read_tilt_series,
@@ -39,7 +40,8 @@ def _identity_h(n=16, pitch=0.5):
 
 def test_empty_volume_gives_unit_intensity():
     w = BinnedVolume(np.zeros((3, 16, 16)), 0.5, 1)
-    exit_waves, intermediates = multislice_forward(w, PARAMS, (250.0, 1000.0), _identity_h())
+    exit_waves, intermediates = multislice_forward(
+        w, PARAMS, multislice_factors(_identity_h(), w.slab_thickness, (250.0, 1000.0)))
     assert len(intermediates) == 4
     for e in exit_waves:
         assert np.allclose(intensity(e), 1.0, atol=1e-12)
@@ -49,8 +51,8 @@ def test_unitarity_of_noiseless_chain():
     # all factors unimodular or unitary (anti-aliasing off)
     rng = np.random.default_rng(0)
     w = BinnedVolume(rng.normal(0, 0.3 / PARAMS.sigma, (5, 16, 16)), 0.5, 1)
-    _, intermediates = multislice_forward(w, PARAMS, (250.0,), _identity_h(),
-                                          anti_alias=False)
+    _, intermediates = multislice_forward(
+        w, PARAMS, multislice_factors(_identity_h(), w.slab_thickness, (250.0,), anti_alias=False))
     p0 = np.sum(np.abs(intermediates[0]) ** 2)
     p_exit = np.sum(np.abs(intermediates[-1]) ** 2)
     assert p_exit == pytest.approx(p0, rel=1e-8)
@@ -83,7 +85,8 @@ def test_weak_phase_linear_model_quadratic_error():
     for scale in (1.0, 0.5):
         w_slab = scale * base
         w = BinnedVolume(w_slab[None], 0.5, 1)
-        exit_waves, _ = multislice_forward(w, PARAMS, (defocus,), h, anti_alias=False)
+        exit_waves, _ = multislice_forward(
+            w, PARAMS, multislice_factors(h, w.slab_thickness, (defocus,), anti_alias=False))
         model = _linearized_intensity(w_slab, grid, defocus)
         deviations.append(np.max(np.abs(intensity(exit_waves[0]) - model)))
     # halving W must shrink the deviation at least 3.5x (order-2 behavior)
@@ -98,7 +101,8 @@ def test_two_slab_order_matters():
     out = {}
     for name, stack in (("ab", [a, b]), ("ba", [b, a])):
         w = BinnedVolume(np.stack(stack), 0.5, 4)  # thick slabs: strong propagation
-        exit_waves, _ = multislice_forward(w, PARAMS, (250.0,), h)
+        exit_waves, _ = multislice_forward(
+            w, PARAMS, multislice_factors(h, w.slab_thickness, (250.0,)))
         out[name] = intensity(exit_waves[0])
     assert np.linalg.norm(out["ab"] - out["ba"]) > 1e-3
 
@@ -112,7 +116,8 @@ def test_multislice_factors_match_field_oracles():
                          * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, grid.shape)))
     w = BinnedVolume(rng.normal(0, 0.3 / PARAMS.sigma, (3, 16, 16)), 0.5, 2)
     defoci = (250.0, 450.0, 1000.0)
-    exit_waves, intermediates = multislice_forward(w, PARAMS, defoci, h)
+    exit_waves, intermediates = multislice_forward(
+        w, PARAMS, multislice_factors(h, w.slab_thickness, defoci))
 
     def assert_close(actual, expected):
         err = np.max(np.abs(actual - expected))

@@ -11,6 +11,7 @@ from phasetomo import (
     amplitude_cost,
     backpropagate,
     interaction_parameter,
+    multislice_factors,
     multislice_forward,
     residual,
 )
@@ -92,13 +93,13 @@ def _setup(seed=7, n=8, n_slabs=4, defoci=(250.0, 1000.0), anti_alias=True):
     w_true = rng.normal(0.0, 0.1 / PARAMS.sigma, (n_slabs, n, n))
     w_meas = w_true + rng.normal(0.0, 0.02 / PARAMS.sigma, w_true.shape)
     exit_meas, _ = multislice_forward(
-        BinnedVolume(w_meas, 0.5, 1), PARAMS, defoci, h, anti_alias
+        BinnedVolume(w_meas, 0.5, 1), PARAMS, multislice_factors(h, 0.5, defoci, anti_alias)
     )
     measured_amp = [np.abs(e.values) for e in exit_meas]
 
     def cost_of(w_vals):
         exit_waves, intermediates = multislice_forward(
-            BinnedVolume(w_vals, 0.5, 1), PARAMS, defoci, h, anti_alias
+            BinnedVolume(w_vals, 0.5, 1), PARAMS, multislice_factors(h, 0.5, defoci, anti_alias)
         )
         c = sum(
             float(np.sum((measured_amp[j] - np.abs(e.values)) ** 2))
@@ -113,7 +114,7 @@ def _gradient(w_vals, cost_of, measured_amp, h, defoci=(250.0, 1000.0), anti_ali
     _, exit_waves, intermediates = cost_of(w_vals)
     res = [residual(e, measured_amp[j]) for j, e in enumerate(exit_waves)]
     g = backpropagate(res, intermediates, BinnedVolume(w_vals, 0.5, 1), PARAMS,
-                      defoci, h, anti_alias)
+                      multislice_factors(h, 0.5, defoci, anti_alias))
     return np.stack(g)
 
 
@@ -121,9 +122,10 @@ def test_zero_residual_zero_gradient():
     grid = _grid()
     h = TransferFunction.identity(grid)
     w = BinnedVolume(np.zeros((3, 8, 8)), 0.5, 1)
-    exit_waves, intermediates = multislice_forward(w, PARAMS, (250.0,), h)
+    factors = multislice_factors(h, w.slab_thickness, (250.0,))
+    exit_waves, intermediates = multislice_forward(w, PARAMS, factors)
     res = [np.zeros(grid.shape, dtype=complex)]
-    g = backpropagate(res, intermediates, w, PARAMS, (250.0,), h)
+    g = backpropagate(res, intermediates, w, PARAMS, factors)
     assert np.max(np.abs(np.stack(g))) == 0.0
 
 
@@ -142,7 +144,8 @@ def test_unimodular_slab_gradient_vanishes_for_unit_target():
     r = residual(exit_wave, np.ones(grid.shape))
     assert np.max(np.abs(r)) < 1e-13
     intermediates = [np.ones(grid.shape, dtype=complex), exit_wave.values]
-    g = backpropagate([r], intermediates, w, PARAMS, (1e-9,), h, anti_alias=False)
+    g = backpropagate([r], intermediates, w, PARAMS,
+                      multislice_factors(h, w.slab_thickness, (1e-9,), anti_alias=False))
     assert np.max(np.abs(np.stack(g))) < 1e-13 * PARAMS.sigma
 
 
@@ -195,10 +198,23 @@ def test_refocus_stage_linear_in_residuals():
     r2 = [rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape) for _ in defoci]
     a, b = 0.7, -1.3
     combo = [a * x + b * y for x, y in zip(r1, r2)]
-    g_combo = np.stack(backpropagate(combo, intermediates, w, PARAMS, defoci, h))
-    g_sep = a * np.stack(backpropagate(r1, intermediates, w, PARAMS, defoci, h)) \
-        + b * np.stack(backpropagate(r2, intermediates, w, PARAMS, defoci, h))
+    factors = multislice_factors(h, w.slab_thickness, defoci)
+    g_combo = np.stack(backpropagate(combo, intermediates, w, PARAMS, factors))
+    g_sep = a * np.stack(backpropagate(r1, intermediates, w, PARAMS, factors)) \
+        + b * np.stack(backpropagate(r2, intermediates, w, PARAMS, factors))
     assert np.allclose(g_combo, g_sep, atol=1e-12 * np.max(np.abs(g_sep)))
+
+
+def test_operators_reject_factors_built_for_other_slabs():
+    grid, h, w_true, measured_amp, cost_of, _ = _setup(seed=12)
+    _, exit_waves, intermediates = cost_of(w_true)
+    w = BinnedVolume(w_true, 0.5, 1)
+    factors = multislice_factors(h, 2 * w.slab_thickness, (250.0, 1000.0))  # n_b = 2
+    with pytest.raises(ValueError, match="factors built for"):
+        multislice_forward(w, PARAMS, factors)
+    res = [residual(e, measured_amp[j]) for j, e in enumerate(exit_waves)]
+    with pytest.raises(ValueError, match="factors built for"):
+        backpropagate(res, intermediates, w, PARAMS, factors)
 
 
 def test_backpropagate_slab_count_mismatch():
@@ -207,4 +223,4 @@ def test_backpropagate_slab_count_mismatch():
     w = BinnedVolume(w_true, 0.5, 1)
     with pytest.raises(ValueError, match="intermediate"):
         backpropagate([np.zeros(grid.shape, complex)] * 2, intermediates[:-1], w,
-                      PARAMS, (250.0, 1000.0), h)
+                      PARAMS, multislice_factors(h, w.slab_thickness, (250.0, 1000.0)))

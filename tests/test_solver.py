@@ -311,6 +311,25 @@ def test_sweep_without_update_forms_no_residual_and_no_gradient(monkeypatch):
     assert calls == {"residual": 3 * 2, "backpropagate": 3}
 
 
+@pytest.mark.parametrize("n_tilts", [1, 4])
+def test_sweep_builds_the_multislice_factors_once(monkeypatch, n_tilts):
+    from phasetomo import forward
+
+    series = _series(_blob_volume(n=12, seed=19), n_tilts=n_tilts)
+    h = TransferFunction.identity(series.grid)
+    cfg = SolverConfig(step_size=1e4, reg_kind="positivity", n_b=2)
+    calls = []
+    original = forward.propagation_kernel
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(forward, "propagation_kernel", counted)
+    solver._sweep(np.zeros((12, 12, 12), np.complex128), series, cfg, PARAMS, h)
+    assert len(calls) == 3  # the slab propagator and one exit factor per defocus
+
+
 def test_apply_prox_threshold_is_step_times_weight_over_background_counts():
     rng = np.random.default_rng(9)
     v = PotentialVolume(rng.normal(0.0, 5.0, (6, 6, 6)), 0.5)

@@ -358,6 +358,16 @@ def test_bin_sums_replicated_slices_with_one_rounding():
             assert np.array_equal(bin_slices(back, n_b).values, n_b * slabs), n_b
 
 
+@pytest.mark.parametrize("nz", [12, 10])
+def test_bin_adjoint_result_shares_no_memory_with_its_input(nz):
+    from phasetomo import BinnedVolume
+
+    vb = BinnedVolume(np.arange(48.0).reshape(3, 4, 4), 0.5, 4)  # 12 slices
+    out = bin_adjoint(vb, 4, nz)
+    assert out.values.shape == (nz, 4, 4)
+    assert not np.shares_memory(out.values, vb.values)
+
+
 def test_bin_keeps_non_finite_sums():
     # n_b = 7 takes the compensated path, whose error term is nan here
     column = np.array([np.inf, 1, 2, 3, 1, 1, 1] + [np.nan] + [1] * 6 + [1] * 7)
