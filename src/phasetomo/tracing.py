@@ -45,10 +45,14 @@ class TraceParams:
     candidate_min_ratio: float = 0.5   # raw-value gate, fraction of the floor
 
     def __post_init__(self):
-        # a 3^3 patch (27 samples) is the smallest that centres on the site
-        # and over-determines the 6 Gaussian parameters
-        if self.fit_window < 3 or self.fit_window % 2 == 0:
-            raise ValueError(f"fit_window must be an odd integer >= 3, got {self.fit_window}")
+        _check_fit_window(self.fit_window, "fit_window")
+
+
+def _check_fit_window(window: int, name: str) -> None:
+    # a 3^3 patch (27 samples) is the smallest that centres on the site
+    # and over-determines the 6 Gaussian parameters
+    if window < 3 or window % 2 == 0:
+        raise ValueError(f"{name} must be an odd integer >= 3, got {window}")
 
 
 @dataclass
@@ -254,7 +258,9 @@ def fit_gaussian_3d(v: PotentialVolume | np.ndarray, site, window: int = 7,
     ``site`` is an integer (z, y, x) voxel index and the window must lie
     fully inside the volume. Non-convergence within the evaluation budget
     is reported via ``converged`` so callers can drop the site.
+    ``window`` is the patch edge: an odd integer >= 3.
     """
+    _check_fit_window(window, "window")
     values = np.real(v.values) if isinstance(v, PotentialVolume) else np.real(np.asarray(v))
     site = np.asarray(site, dtype=np.int64)
     half = window // 2

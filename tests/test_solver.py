@@ -142,6 +142,63 @@ def test_prox_tv_smooths_noise():
     assert total_variation(out) < 0.2 * total_variation(noisy)
 
 
+def _prox_tv_oracle(v, weight, inner_iters=20):
+    """prox_tv before its buffers were preallocated, kept as the byte oracle."""
+
+    def _tv_gradient(x):
+        g = np.zeros((3,) + x.shape, dtype=x.dtype)
+        g[0, :-1] = x[1:] - x[:-1]
+        g[1, :, :-1] = x[:, 1:] - x[:, :-1]
+        g[2, :, :, :-1] = x[:, :, 1:] - x[:, :, :-1]
+        return g
+
+    def _tv_gradient_adjoint(p):
+        out = np.zeros(p.shape[1:], dtype=p.dtype)
+        out[1:] += p[0, :-1]
+        out[:-1] -= p[0, :-1]
+        out[:, 1:] += p[1, :, :-1]
+        out[:, :-1] -= p[1, :, :-1]
+        out[:, :, 1:] += p[2, :, :, :-1]
+        out[:, :, :-1] -= p[2, :, :, :-1]
+        return out
+
+    b = np.real(v.values).astype(np.float64)
+    p = np.zeros((3,) + b.shape)
+    q = p.copy()
+    t = 1.0
+    step = 1.0 / (12.0 * weight)  # 12 bounds ||grad||^2 in 3D
+    for _ in range(max(1, inner_iters)):
+        x = np.maximum(b - weight * _tv_gradient_adjoint(q), 0.0)
+        p_new = q + step * _tv_gradient(x)
+        norms = np.sqrt(np.sum(p_new * p_new, axis=0))
+        p_new /= np.maximum(norms, 1.0)
+        t_new = nesterov_next_t(t)
+        q = p_new + ((t - 1.0) / t_new) * (p_new - p)
+        p, t = p_new, t_new
+    x = np.maximum(b - weight * _tv_gradient_adjoint(p), 0.0)
+    return PotentialVolume(x, v.pitch)
+
+
+@pytest.mark.parametrize("shape", [(6, 6, 6), (1, 5, 7), (7, 7, 7)])
+@pytest.mark.parametrize("inner_iters", [1, 20])
+@pytest.mark.parametrize("weight", [1e-4, 1.0])
+def test_prox_tv_is_byte_identical_to_the_unbuffered_oracle(shape, inner_iters, weight):
+    rng = np.random.default_rng(sum(shape) + inner_iters)
+    values = rng.normal(0.0, 2.0, shape)
+    values.flat[::3] = -0.0  # signed zeros must come out as the oracle's
+    values.flat[1::5] = 0.0
+    v = PotentialVolume(values, 0.5)
+    got = prox_tv(v, weight, inner_iters).values
+    assert got.tobytes() == _prox_tv_oracle(v, weight, inner_iters).values.tobytes()
+
+
+@pytest.mark.parametrize("inner_iters", [0, -1])
+def test_prox_tv_rejects_fewer_than_one_inner_iteration(inner_iters):
+    v = PotentialVolume(np.ones((3, 3, 3)), 0.5)
+    with pytest.raises(ValueError, match="inner_iters"):
+        prox_tv(v, 0.1, inner_iters)
+
+
 # ---------------------------------------------------------------------------
 # Nesterov scalars
 # ---------------------------------------------------------------------------
@@ -403,6 +460,67 @@ def test_step_bracket_propagates_errors_other_than_divergence(monkeypatch):
     monkeypatch.setattr(solver, "apply_prox", broken_prox)
     with pytest.raises(ValueError, match="not a divergence"):
         bracket_step_size(series, cfg, PARAMS, TransferFunction.identity(series.grid))
+
+
+def _exhaustive_bracket(series, cfg, h):
+    """Every candidate in bracket order, strictly lower cost wins: the
+    search the early-stopping bracket must agree with on a unimodal cost."""
+    best_cost, best = np.inf, None
+    for eta in cfg.step_bracket:
+        trial = replace(cfg, step_size=float(eta))
+        state = solver._initial_state(series.grid)
+        solver._outer_iteration(state, series, trial, PARAMS, h, None)
+        cost = solver._sweep(state.v_curr.values, series, trial, PARAMS, h, update=False)
+        if cost < best_cost:
+            best_cost, best = cost, (trial.step_size, state)
+    return best
+
+
+def _tv_bracket_case(step_bracket):
+    # iteration-1 scores on this series fall from eta 1e3 to 1e5 and rise
+    # again at 1e6 (unimodal, minimum at 1e5)
+    series = _series(_blob_volume(seed=14), n_tilts=4, dose=5e4, seed=15)
+    cfg = SolverConfig(step_size=None, reg_kind="tv", reg_weight=1e-2, n_b=2,
+                       step_bracket=step_bracket)
+    return series, cfg, TransferFunction.identity(series.grid)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(solver, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("step_bracket, n_prox", [
+    ((1e3, 1e4, 1e5), 2),  # the largest step wins: the smallest never runs
+    ((1e4, 1e5, 1e6), 3),  # the middle step wins: all three run
+])
+def test_step_bracket_stops_once_the_cost_rises(monkeypatch, step_bracket, n_prox):
+    series, cfg, h = _tv_bracket_case(step_bracket)
+    calls = _count_calls(monkeypatch, "apply_prox")
+    step, state = bracket_step_size(series, cfg, PARAMS, h)
+    assert len(calls) == n_prox
+    # on this unimodal cost the pick and its state equal the exhaustive search's
+    expected_step, expected = _exhaustive_bracket(series, cfg, h)
+    assert step == expected_step == 1e5
+    assert state.v_curr.values.tobytes() == expected.v_curr.values.tobytes()
+    assert state.u.values.tobytes() == expected.u.values.tobytes()
+    assert state.cost_history == expected.cost_history
+
+
+def test_step_bracket_search_goes_on_past_a_diverging_largest_step(monkeypatch):
+    series, cfg, h = _tv_bracket_case((1e3, 1e5, 1e9))
+    calls = _count_calls(monkeypatch, "_outer_iteration")
+    step, _ = bracket_step_size(series, cfg, PARAMS, h)
+    # 1e9 diverges and is skipped, 1e5 wins, and 1e3 costs more and stops the search
+    assert [trial.step_size for _, _, trial, *_ in calls] == [1e9, 1e5, 1e3]
+    assert step == 1e5
 
 
 def test_solver_config_validation():

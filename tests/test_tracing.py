@@ -135,6 +135,15 @@ def test_fit_window_must_be_inside():
         fit_gaussian_3d(v, (1, 5, 5), window=7)
 
 
+@pytest.mark.parametrize("window", [-1, 0, 1, 6])
+def test_fit_window_must_be_odd_and_at_least_3(window):
+    # an even window used to fit the next odd patch, and 0 or 1 a single
+    # voxel with fewer samples than the 6 fit parameters
+    v = _blob_volume(10)
+    with pytest.raises(ValueError, match="window must be an odd integer >= 3"):
+        fit_gaussian_3d(v, (8, 8, 8), window=window)
+
+
 # ---------------------------------------------------------------------------
 # trace loop
 # ---------------------------------------------------------------------------
