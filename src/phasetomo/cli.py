@@ -353,9 +353,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="RNG seed override")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="recorded for provenance; numpy thread pools are "
-                            "process-global (set via environment)")
 
     p = sub.add_parser("phantom", help="generate a synthetic ground truth")
     common(p)

@@ -77,12 +77,12 @@ class SolverConfig:
     step_bracket: tuple[float, float, float] = (3e2, 3e3, 3e4)
 
     def __post_init__(self):
-        if self.step_size is not None and self.step_size <= 0:
-            raise ValueError("step size must be positive")
+        if self.step_size is not None and not 0 < self.step_size < math.inf:
+            raise ValueError("step size must be positive and finite")
         if self.reg_kind not in REG_KINDS:
             raise ValueError(f"reg_kind must be one of {REG_KINDS}")
-        if self.reg_weight < 0:
-            raise ValueError("reg_weight must be non-negative")
+        if not 0 <= self.reg_weight < math.inf:
+            raise ValueError("reg_weight must be non-negative and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.n_b < 1:

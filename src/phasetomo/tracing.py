@@ -46,6 +46,8 @@ class TraceParams:
 
     def __post_init__(self):
         _check_fit_window(self.fit_window, "fit_window")
+        if self.max_refine_iters < 0:
+            raise ValueError(f"max_refine_iters must be >= 0, got {self.max_refine_iters}")
 
 
 def _check_fit_window(window: int, name: str) -> None:
@@ -184,7 +186,7 @@ def find_candidates(filtered: PotentialVolume, border: int = DETECTION_BORDER) -
 # ---------------------------------------------------------------------------
 
 def _fit_patch(patch: np.ndarray, origin: np.ndarray, guess: np.ndarray | None,
-               max_nfev: int = 100, width_max: float | None = None) -> FitResult:
+               width_max: float | None = None) -> FitResult:
     """Least-squares Gaussian+background fit on an extracted patch.
 
     ``width_max`` caps the fitted sigma; constraining the fit to
@@ -238,8 +240,7 @@ def _fit_patch(patch: np.ndarray, origin: np.ndarray, guess: np.ndarray | None,
     lower = [0.0, -1.0, -1.0, -1.0, 0.2, 0.0]
     upper = [4.0 * ptp, nz, ny, nx, s_hi, b_hi]
     guess = np.clip(guess, lower, upper)
-    result = least_squares(fun, guess, jac=jac, bounds=(lower, upper),
-                           max_nfev=max_nfev)
+    result = least_squares(fun, guess, jac=jac, bounds=(lower, upper), max_nfev=100)
     a, z0, y0, x0, s, b0 = result.x
     return FitResult(
         position=np.array([z0, y0, x0]) + origin,
@@ -249,6 +250,12 @@ def _fit_patch(patch: np.ndarray, origin: np.ndarray, guess: np.ndarray | None,
         residual=float(np.linalg.norm(result.fun)),
         converged=bool(result.status > 0),
     )
+
+
+def _fit_box(site, half: int) -> tuple[np.ndarray, tuple[slice, slice, slice]]:
+    """First voxel and index of the (2*half + 1)^3 fit cube centred on ``site``."""
+    lo = np.asarray(site, dtype=np.int64) - half
+    return lo, tuple(slice(a, a + 2 * half + 1) for a in lo)
 
 
 def fit_gaussian_3d(v: PotentialVolume | np.ndarray, site, window: int = 7,
@@ -262,23 +269,24 @@ def fit_gaussian_3d(v: PotentialVolume | np.ndarray, site, window: int = 7,
     """
     _check_fit_window(window, "window")
     values = np.real(v.values) if isinstance(v, PotentialVolume) else np.real(np.asarray(v))
-    site = np.asarray(site, dtype=np.int64)
-    half = window // 2
-    lo = site - half
-    hi = site + half + 1
-    if np.any(lo < 0) or np.any(hi > np.array(values.shape)):
+    lo, box = _fit_box(site, window // 2)
+    if np.any(lo < 0) or np.any(lo + window > np.array(values.shape)):
         raise ValueError("fit window extends outside the volume")
-    patch = values[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]].astype(np.float64)
-    return _fit_patch(patch, lo.astype(np.float64), None, width_max=width_max)
+    return _fit_patch(values[box].astype(np.float64), lo, None, width_max=width_max)
 
 
-def _render_sites(shape: tuple[int, int, int], fits: list[FitResult]) -> np.ndarray:
-    """Sum of the fitted Gaussian peaks (no backgrounds), 4-sigma windows."""
+def _render_sites(shape: tuple[int, int, int], fits: list[FitResult],
+                  start=(0, 0, 0)) -> np.ndarray:
+    """Sum of the fitted Gaussian peaks (no backgrounds), 4-sigma windows,
+    on the box of edge lengths ``shape`` whose first voxel is the volume
+    index ``start`` (default: the whole volume). Coordinates are absolute
+    voxel indices, so each value is the same float as in a full render.
+    """
     out = np.zeros(shape)
     for f in fits:
         reach = 4.0 * f.width
-        lo = np.maximum(np.floor(f.position - reach).astype(int), 0)
-        hi = np.minimum(np.ceil(f.position + reach).astype(int) + 1, shape)
+        lo = np.maximum(np.floor(f.position - reach).astype(int), start)
+        hi = np.minimum(np.ceil(f.position + reach).astype(int) + 1, np.add(start, shape))
         if np.any(lo >= hi):
             continue
         zz, yy, xx = np.meshgrid(
@@ -289,9 +297,8 @@ def _render_sites(shape: tuple[int, int, int], fits: list[FitResult]) -> np.ndar
         )
         r2 = ((zz - f.position[0]) ** 2 + (yy - f.position[1]) ** 2
               + (xx - f.position[2]) ** 2)
-        out[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] += f.intensity * np.exp(
-            -r2 / (2.0 * f.width**2)
-        )
+        box = tuple(slice(a, b) for a, b in zip(lo - start, hi - start))
+        out[box] += f.intensity * np.exp(-r2 / (2.0 * f.width**2))
     return out
 
 
@@ -321,6 +328,11 @@ def _site_sort_key(f: FitResult):
 
 def trace_atoms(v: PotentialVolume, params: TraceParams | None = None) -> TracedAtoms:
     """Iterative detect / fit / subtract / re-detect loop.
+
+    Each round renders all sites once as ``model`` and refits each site
+    on its fit window ``box`` to ``values[box] - (model[box] - own)``,
+    ``own`` being the site rendered on that box alone: the same floats as
+    a full-volume subtraction, since rendering uses absolute coordinates.
 
     Stops when fewer than ``min_removed_stop`` sites were removed in a
     round and the RMS position change is below ``rms_stop_voxels``, or
@@ -359,8 +371,7 @@ def trace_atoms(v: PotentialVolume, params: TraceParams | None = None) -> Traced
                 d = np.sqrt(np.sum((existing_pos - site) ** 2, axis=1))
                 if d.min() < params.merge_radius_voxels:
                     continue
-            window = source[tuple(slice(s - margin, s + margin + 1) for s in site)]
-            key = (tuple(site), window.tobytes())
+            key = (tuple(site), source[_fit_box(site, margin)[1]].tobytes())
             fit = detection_fits.get(key)
             if fit is None:
                 fit = detection_fits[key] = fit_gaussian_3d(
@@ -379,17 +390,13 @@ def trace_atoms(v: PotentialVolume, params: TraceParams | None = None) -> Traced
         model = _render_sites(shape, sites)
         refined: list[FitResult] = []
         for f in sites:
-            own = _render_sites(shape, [f])
-            local = values - (model - own)
             site = np.round(f.position).astype(np.int64)
             site = np.clip(site, margin, np.array(shape) - margin - 1)
-            half = params.fit_window // 2
-            lo = site - half
-            hi = site + half + 1
-            patch = local[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]]
+            lo, box = _fit_box(site, margin)
+            own = _render_sites((params.fit_window,) * 3, [f], lo)
+            patch = values[box] - (model[box] - own)
             guess = np.array([f.intensity, *(f.position - lo), f.width, f.background])
-            new = _fit_patch(patch, lo.astype(np.float64), guess,
-                             width_max=params.width_max_voxels)
+            new = _fit_patch(patch, lo, guess, width_max=params.width_max_voxels)
             if fit_ok(new):
                 moves.append(float(np.linalg.norm(new.position - f.position)))
                 refined.append(new)

@@ -71,10 +71,6 @@ class PotentialVolume:
     def nx(self) -> int:
         return self.values.shape[2]
 
-    @classmethod
-    def zeros(cls, nz: int, ny: int, nx: int, pitch: float, dtype=np.float64) -> "PotentialVolume":
-        return cls(np.zeros((nz, ny, nx), dtype=dtype), pitch)
-
 
 @dataclass
 class BinnedVolume:

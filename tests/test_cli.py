@@ -230,6 +230,38 @@ def test_reconstruct_rejects_zero_tv_inner_iters(phantom_dir, tmp_path, capsys):
     assert not (out / "reconstruction.raw").exists()
 
 
+@pytest.mark.parametrize("payload, field", [
+    ({"step_size": math.nan}, "step size"),
+    ({"step_size": math.inf}, "step size"),
+    ({"reg_kind": "lasso", "reg_weight": math.nan}, "reg_weight"),
+    ({"reg_kind": "lasso", "reg_weight": math.inf}, "reg_weight"),
+], ids=["step_size-nan", "step_size-inf", "reg_weight-nan", "reg_weight-inf"])
+def test_reconstruct_rejects_non_finite_step_size_and_reg_weight(phantom_dir, tmp_path,
+                                                                 capsys, payload, field):
+    # NaN fails every comparison, so a sign check alone lets it through;
+    # json reads both NaN and Infinity
+    series_dir = _small_series(phantom_dir, tmp_path, "nonfinite")
+    cfg = _write_config(tmp_path, "rec_nonfinite.json", dict(payload, n_b=4, max_iter=1))
+    out = tmp_path / "recnonfinite"
+    assert main(["reconstruct", "--config", cfg, "--series", str(series_dir),
+                 "--out", str(out)]) == cli.EXIT_CONFIG
+    assert field in capsys.readouterr().err
+    assert not (out / "reconstruction.raw").exists()
+
+
+@pytest.mark.parametrize("iters, code", [(-3, cli.EXIT_CONFIG), (0, cli.EXIT_OK)])
+def test_trace_rejects_negative_max_refine_iters(phantom_dir, tmp_path, capsys, iters, code):
+    cfg = _write_config(tmp_path, "trace.json", {"max_refine_iters": iters})
+    out = tmp_path / "trace"
+    assert main(["trace", "--config", cfg, "--volume", str(phantom_dir / "volume.raw"),
+                 "--out", str(out)]) == code
+    if code == cli.EXIT_CONFIG:
+        assert "max_refine_iters" in capsys.readouterr().err
+        assert not (out / "traced.csv").exists()
+    else:  # 0 rounds: detection only
+        assert len(read_sites_csv(out / "traced.csv", 0.5)) > 0
+
+
 def test_trace_and_evaluate_roundtrip(phantom_dir, tmp_path):
     out = tmp_path / "trace"
     assert main(["trace", "--volume", str(phantom_dir / "volume.raw"),

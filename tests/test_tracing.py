@@ -144,6 +144,35 @@ def test_fit_window_must_be_odd_and_at_least_3(window):
         fit_gaussian_3d(v, (8, 8, 8), window=window)
 
 
+def _site(position, intensity, width):
+    return tracing.FitResult(np.array(position), intensity, width, 0.0, 0.0, True)
+
+
+def test_render_sites_on_a_box_matches_the_full_render():
+    shape = (20, 18, 16)
+    fits = [
+        _site([6.3, 7.8, 5.1], 40.0, 1.1),     # 4-sigma reach crosses every edge of box 1
+        _site([16.2, 2.4, 13.7], 25.0, 0.8),   # wholly outside box 1
+        _site([0.4, 17.6, 0.9], 60.0, 1.3),    # reach clipped by the volume's edges
+        _site([8.7, 9.2, 6.6], 33.0, 1.0),     # overlaps the first site
+    ]
+    full = tracing._render_sites(shape, fits)
+    boxes = [
+        ((3, 5, 2), (7, 7, 7)),
+        ((13, 11, 9), (7, 7, 7)),              # ends on the volume's far faces
+        ((0, 12, 0), (5, 6, 4)),               # starts on the volume's near faces
+        ((0, 0, 0), shape),
+    ]
+    for start, box_shape in boxes:
+        part = tracing._render_sites(box_shape, fits, start)
+        index = tuple(slice(a, a + n) for a, n in zip(start, box_shape))
+        assert part.shape == box_shape
+        assert part.any()
+        assert part.tobytes() == full[index].tobytes()
+    outside = tracing._render_sites((7, 7, 7), [fits[1]], (3, 5, 2))
+    assert not outside.any()
+
+
 # ---------------------------------------------------------------------------
 # trace loop
 # ---------------------------------------------------------------------------
@@ -227,6 +256,27 @@ def test_trace_fits_each_detection_window_once(monkeypatch):
     assert len(traced) == 1
     assert (15, 15, 15) in [site for site, _ in windows]
     assert len(windows) == len(set(windows))
+
+
+@pytest.mark.parametrize("n_atoms", [1, 4])
+def test_trace_renders_two_volumes_per_round(monkeypatch, n_atoms):
+    # the model and the detection residual; each site is refined on its
+    # fit window, not on a volume-sized render of its own
+    positions = [[4.0, 4.0, 4.0], [7.0, 4.5, 4.0], [4.5, 7.0, 6.5], [7.0, 7.0, 7.0]]
+    _, v = _render_atoms(positions[:n_atoms])
+    shapes = []
+    render = tracing._render_sites
+
+    def recording_render(shape, fits, *args):
+        shapes.append(tuple(shape))
+        return render(shape, fits, *args)
+
+    monkeypatch.setattr(tracing, "_render_sites", recording_render)
+    traced = trace_atoms(v, tracing.TraceParams(max_refine_iters=1))
+    assert len(traced) == n_atoms
+    assert shapes.count(v.values.shape) == 2
+    assert shapes.count((7, 7, 7)) == n_atoms
+    assert len(shapes) == 2 + n_atoms
 
 
 # ---------------------------------------------------------------------------
