@@ -61,10 +61,13 @@ class SolverConfig:
     an infinite-dose series the threshold is 0 and a positive weight
     has no effect (``reconstruct`` warns). When ``step_size`` is None a
     3-point bracket on the iteration-1 cost picks one of
-    ``step_bracket``, and the winner's first iteration is kept as
-    iteration 1 (row 1 of ``cost.csv``). The bracket tries the largest
-    step first and stops once the cost rises, which assumes the cost is
-    unimodal in the step (see :func:`bracket_step_size`).
+    ``step_bracket`` (positive, finite entries), and the winner's first
+    iteration is kept as iteration 1 (row 1 of ``cost.csv``). The
+    bracket scores each candidate by the cost of its own first sweep,
+    tries the largest step first and stops once the cost rises, which
+    assumes the cost is unimodal in the step; a losing candidate's sweep
+    stops as soon as its running cost passes the best (see
+    :func:`bracket_step_size`).
     """
 
     step_size: float | None = None
@@ -79,6 +82,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.step_size is not None and not 0 < self.step_size < math.inf:
             raise ValueError("step size must be positive and finite")
+        if not all(0 < eta < math.inf for eta in self.step_bracket):
+            raise ValueError(f"step_bracket entries must be positive and finite, "
+                             f"got {tuple(self.step_bracket)}")
         if self.reg_kind not in REG_KINDS:
             raise ValueError(f"reg_kind must be one of {REG_KINDS}")
         if not 0 <= self.reg_weight < math.inf:
@@ -245,16 +251,18 @@ def _sweep(
     cfg: SolverConfig,
     params: InteractionParams,
     h: TransferFunction,
-    update: bool = True,
     tilt_order: np.ndarray | None = None,
+    stop_above: float = math.inf,
 ) -> float:
     """One pass over all tilts; returns the accumulated amplitude cost.
 
-    With ``update`` the per-tilt gradient step U -= eta * R_adj(B_adj(g))
-    is applied in place, so later tilts see the earlier updates. Without
-    it ``u`` (real or complex) is only read and no residual is formed.
-    ``tilt_order`` permutes the sweep order (diagnostics only; the final
-    result is empirically insensitive to it).
+    The per-tilt gradient step U -= eta * R_adj(B_adj(g)) is applied in
+    place, so later tilts see the earlier updates. Once the running cost
+    is strictly above ``stop_above`` the sweep returns it at once, before
+    that tilt's residual and update: every per-tilt term is a sum of
+    squares, so the full cost could only be larger. ``tilt_order``
+    permutes the sweep order (diagnostics only; the final result is
+    empirically insensitive to it).
     """
     plan = series.plan
     pitch = series.grid.pitch
@@ -273,8 +281,8 @@ def _sweep(
         for exit_wave, amp_meas in zip(exit_waves, measured_amplitude[i]):
             diff = amp_meas - np.abs(exit_wave.values)
             cost += float(np.sum(diff * diff))
-        if not update:
-            continue
+        if cost > stop_above:
+            return cost
         residuals = [residual(exit_wave, amp_meas)
                      for exit_wave, amp_meas in zip(exit_waves, measured_amplitude[i])]
         grads = backpropagate(residuals, intermediates, w, params, factors)
@@ -295,15 +303,21 @@ def _initial_state(grid: GridSpec) -> SolverState:
 
 def _outer_iteration(state: SolverState, series: TiltSeries, cfg: SolverConfig,
                      params: InteractionParams, h: TransferFunction,
-                     tilt_order: np.ndarray | None) -> None:
+                     tilt_order: np.ndarray | None, stop_above: float = math.inf) -> None:
     """Advance ``state`` in place by one sweep at eta = ``cfg.step_size``,
-    the prox and the Nesterov extrapolation, recording the sweep's cost."""
+    the prox and the Nesterov extrapolation, recording the sweep's cost.
+
+    A sweep stopped above ``stop_above`` (see :func:`_sweep`) records its
+    partial cost and leaves the iterate there: no prox, no extrapolation.
+    """
     # overflow inside a diverging iterate is caught by the finiteness guards
     with np.errstate(over="ignore", invalid="ignore"):
-        cost = _sweep(state.u.values, series, cfg, params, h, tilt_order=tilt_order)
+        cost = _sweep(state.u.values, series, cfg, params, h, tilt_order, stop_above)
         state.cost_history.append(cost)
         if not np.isfinite(cost) or cost > DIVERGENCE_FACTOR * state.cost_history[0]:
             raise DivergenceError("step size too large")
+        if cost > stop_above:
+            return
         v_new = apply_prox(state.u, cfg, series.background_counts)
         t_next = nesterov_next_t(state.t)
         momentum = (state.t - 1.0) / t_next
@@ -322,16 +336,21 @@ def bracket_step_size(
     h: TransferFunction,
     tilt_order: np.ndarray | None = None,
 ) -> tuple[float, SolverState]:
-    """Pick the bracket candidate whose iteration-1 prox output costs least.
+    """Pick the bracket candidate whose iteration-1 sweep costs least.
 
     Each candidate runs iteration 1 exactly as :func:`reconstruct` does,
-    ``tilt_order`` included, and is scored by a forward-only sweep of its
-    prox output. Candidates are tried from the largest step down, and the
-    search stops at the first score strictly above the best so far; ties
-    go to the smaller step. Returns the winning step size and its state
-    after iteration 1; only the best state so far is kept. A diverging
+    ``tilt_order`` included, and is scored by the cost of that sweep, its
+    ``cost_history[0]``. Candidates are tried from the largest step down,
+    and the search stops at the first score strictly above the best so
+    far; ties go to the smaller step. A candidate's sweep is itself cut
+    short, with no prox, once its running cost passes the best: the cost
+    is a sum of non-negative per-tilt terms, so the pick is the same as
+    with full sweeps. Returns the winning step size and its state after
+    iteration 1; only the best state so far is kept. A diverging
     candidate is skipped without stopping the search, any other error
     propagates, and :class:`DivergenceError` is raised when all diverge.
+    A candidate that would diverge only after its running cost has passed
+    the best counts as costlier and ends the search.
 
     The early stop assumes the iteration-1 cost is unimodal in the step
     across the bracket; on desk-scale series it falls steadily as the
@@ -344,12 +363,11 @@ def bracket_step_size(
         trial = replace(cfg, step_size=float(eta))
         state = _initial_state(series.grid)
         try:
-            _outer_iteration(state, series, trial, params, h, tilt_order)
-            with np.errstate(over="ignore", invalid="ignore"):
-                cost = _sweep(state.v_curr.values, series, trial, params, h,
-                              update=False, tilt_order=tilt_order)
+            _outer_iteration(state, series, trial, params, h, tilt_order,
+                             stop_above=best_cost)
         except (DivergenceError, NonFiniteError):
             continue
+        cost = state.cost_history[0]
         if cost > best_cost:
             break
         best_cost, best = cost, (trial.step_size, state)

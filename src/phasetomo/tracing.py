@@ -16,7 +16,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +48,12 @@ class TraceParams:
         _check_fit_window(self.fit_window, "fit_window")
         if self.max_refine_iters < 0:
             raise ValueError(f"max_refine_iters must be >= 0, got {self.max_refine_iters}")
+        # NaN fails every comparison, so an unchecked one silently disables a gate
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        if self.width_floor_voxels < 0:
+            raise ValueError(f"width_floor_voxels must be >= 0, got {self.width_floor_voxels}")
 
 
 def _check_fit_window(window: int, name: str) -> None:

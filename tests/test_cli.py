@@ -262,6 +262,18 @@ def test_trace_rejects_negative_max_refine_iters(phantom_dir, tmp_path, capsys, 
         assert len(read_sites_csv(out / "traced.csv", 0.5)) > 0
 
 
+@pytest.mark.parametrize("field", ["intensity_floor_volts", "merge_radius_voxels"])
+def test_trace_rejects_a_nan_threshold(phantom_dir, tmp_path, capsys, field):
+    # every comparison with NaN is false, so a NaN gate used to trace
+    # 0 or 1 sites and exit 0
+    cfg = _write_config(tmp_path, "trace_nan.json", {field: math.nan})
+    out = tmp_path / "trace_nan"
+    assert main(["trace", "--config", cfg, "--volume", str(phantom_dir / "volume.raw"),
+                 "--out", str(out)]) == cli.EXIT_CONFIG
+    assert field in capsys.readouterr().err
+    assert not (out / "traced.csv").exists()
+
+
 def test_trace_and_evaluate_roundtrip(phantom_dir, tmp_path):
     out = tmp_path / "trace"
     assert main(["trace", "--volume", str(phantom_dir / "volume.raw"),

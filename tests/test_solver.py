@@ -327,47 +327,6 @@ def test_bracketed_reconstruct_equals_fixed_step_at_the_picked_step():
     assert history == fixed_history
 
 
-def test_trial_cost_of_real_prox_output_equals_its_complex_copy():
-    # the bracket scores the float64 prox output; its complex128 copy has an
-    # imaginary part of exactly 0, so both must give the same cost
-    v = _blob_volume(seed=16)
-    series = _series(v, n_tilts=4, dose=5e4, seed=17)
-    h = TransferFunction.identity(series.grid)
-    cfg = SolverConfig(step_size=None, reg_kind="tv", reg_weight=1e-2, n_b=2,
-                       step_bracket=(1e3, 1e5, 1e9))
-    step, state = bracket_step_size(series, cfg, PARAMS, h)
-    trial = replace(cfg, step_size=step)
-    real = state.v_curr.values
-    assert real.dtype == np.float64 and np.any(real > 0)
-    cost = solver._sweep(real, series, trial, PARAMS, h, update=False)
-    assert cost == solver._sweep(real.astype(np.complex128), series, trial, PARAMS, h,
-                                 update=False)
-
-
-def test_sweep_without_update_forms_no_residual_and_no_gradient(monkeypatch):
-    v = _blob_volume(seed=18)
-    series = _series(v, n_tilts=3)
-    h = TransferFunction.identity(series.grid)
-    cfg = SolverConfig(step_size=1e4, reg_kind="positivity", n_b=2)
-    calls = {"residual": 0, "backpropagate": 0}
-
-    def counted(name):
-        original = getattr(solver, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(solver, name, counted(name))
-    u = np.zeros(v.values.shape, np.complex128)
-    solver._sweep(u, series, cfg, PARAMS, h, update=False)
-    assert calls == {"residual": 0, "backpropagate": 0}
-    solver._sweep(u, series, cfg, PARAMS, h)  # the counters do see an updating sweep
-    assert calls == {"residual": 3 * 2, "backpropagate": 3}
-
-
 @pytest.mark.parametrize("n_tilts", [1, 4])
 def test_sweep_builds_the_multislice_factors_once(monkeypatch, n_tilts):
     from phasetomo import forward
@@ -463,16 +422,54 @@ def test_step_bracket_propagates_errors_other_than_divergence(monkeypatch):
 
 
 def _exhaustive_bracket(series, cfg, h):
-    """Every candidate in bracket order, strictly lower cost wins: the
-    search the early-stopping bracket must agree with on a unimodal cost."""
+    """Every candidate in bracket order, each scored by its full iteration-1
+    sweep, strictly lower cost wins: the search the early-stopping bracket
+    must agree with on a unimodal cost."""
     best_cost, best = np.inf, None
     for eta in cfg.step_bracket:
         trial = replace(cfg, step_size=float(eta))
         state = solver._initial_state(series.grid)
         solver._outer_iteration(state, series, trial, PARAMS, h, None)
-        cost = solver._sweep(state.v_curr.values, series, trial, PARAMS, h, update=False)
-        if cost < best_cost:
-            best_cost, best = cost, (trial.step_size, state)
+        if state.cost_history[0] < best_cost:
+            best_cost, best = state.cost_history[0], (trial.step_size, state)
+    return best
+
+
+def _forward_only_cost(v, series, cfg, h):
+    """The amplitude cost of ``v`` over all tilts, with no update: the score
+    the bracket used before it ranked candidates by their own sweeps."""
+    from phasetomo.forward import multislice_factors
+    from phasetomo.volume import bin_slices, rotate
+
+    plan, pitch = series.plan, series.grid.pitch
+    factors = multislice_factors(h, cfg.n_b * pitch, plan.defoci, cfg.anti_alias)
+    measured_amplitude = np.sqrt(series.normalized())
+    cost = 0.0
+    for i, theta in enumerate(plan.tilt_angles):
+        w = bin_slices(rotate(PotentialVolume(v, pitch), theta), cfg.n_b)
+        exit_waves, _ = solver.multislice_forward(w, PARAMS, factors)
+        for exit_wave, amp_meas in zip(exit_waves, measured_amplitude[i]):
+            diff = amp_meas - np.abs(exit_wave.values)
+            cost += float(np.sum(diff * diff))
+    return cost
+
+
+def _forward_only_bracket(series, cfg, h):
+    """The earlier bracket search, scored by a forward-only sweep of each
+    candidate's prox output; returns the step it picks."""
+    best_cost, best = np.inf, None
+    for eta in sorted(cfg.step_bracket, reverse=True):
+        trial = replace(cfg, step_size=float(eta))
+        state = solver._initial_state(series.grid)
+        try:
+            solver._outer_iteration(state, series, trial, PARAMS, h, None)
+            with np.errstate(over="ignore", invalid="ignore"):
+                cost = _forward_only_cost(state.v_curr.values, series, trial, h)
+        except (DivergenceError, solver.NonFiniteError):
+            continue
+        if cost > best_cost:
+            break
+        best_cost, best = cost, trial.step_size
     return best
 
 
@@ -497,21 +494,67 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("step_bracket, n_prox", [
+@pytest.mark.parametrize("step_bracket, n_tried", [
     ((1e3, 1e4, 1e5), 2),  # the largest step wins: the smallest never runs
     ((1e4, 1e5, 1e6), 3),  # the middle step wins: all three run
 ])
-def test_step_bracket_stops_once_the_cost_rises(monkeypatch, step_bracket, n_prox):
+def test_step_bracket_stops_once_the_cost_rises(monkeypatch, step_bracket, n_tried):
     series, cfg, h = _tv_bracket_case(step_bracket)
-    calls = _count_calls(monkeypatch, "apply_prox")
+    tried = _count_calls(monkeypatch, "_outer_iteration")
+    proxes = _count_calls(monkeypatch, "apply_prox")
     step, state = bracket_step_size(series, cfg, PARAMS, h)
-    assert len(calls) == n_prox
+    assert len(tried) == n_tried
+    assert len(proxes) == n_tried - 1  # the costlier last candidate gets no prox
     # on this unimodal cost the pick and its state equal the exhaustive search's
     expected_step, expected = _exhaustive_bracket(series, cfg, h)
     assert step == expected_step == 1e5
     assert state.v_curr.values.tobytes() == expected.v_curr.values.tobytes()
     assert state.u.values.tobytes() == expected.u.values.tobytes()
     assert state.cost_history == expected.cost_history
+
+
+def test_losing_sweep_stops_at_the_first_tilt_above_the_best(monkeypatch):
+    series = _series(_blob_volume(seed=14), n_tilts=8, dose=5e4, seed=15)
+    h = TransferFunction.identity(series.grid)
+    cfg = SolverConfig(step_size=1e4, reg_kind="tv", reg_weight=1e-2, n_b=2)
+    winner = solver._initial_state(series.grid)
+    solver._outer_iteration(winner, series, replace(cfg, step_size=1e5), PARAMS, h, None)
+    best = winner.cost_history[0]
+    # a sweep over the first k tilts runs exactly the full sweep's first k
+    # tilts, so its cost is the full sweep's running cost after tilt k
+    zeros = np.zeros(winner.u.values.shape, np.complex128)
+    running = [solver._sweep(zeros.copy(), series, cfg, PARAMS, h, np.arange(k))
+               for k in range(1, 9)]
+    assert running == sorted(running) and running[-1] > best
+    stop = next(i for i, cost in enumerate(running) if cost > best)
+    assert stop < 7  # the stop saves at least one tilt on this series
+
+    calls = {name: _count_calls(monkeypatch, name)
+             for name in ("multislice_forward", "residual", "backpropagate", "apply_prox")}
+    loser = solver._initial_state(series.grid)
+    solver._outer_iteration(loser, series, cfg, PARAMS, h, None, stop_above=best)
+    assert loser.cost_history == [running[stop]]
+    assert len(calls["multislice_forward"]) == stop + 1
+    # tilts before the stop form one residual per defocus; the stop tilt none
+    assert len(calls["residual"]) == 2 * stop
+    assert len(calls["backpropagate"]) == stop
+    assert calls["apply_prox"] == [] and loser.k == 0
+
+
+def test_own_sweep_score_picks_the_forward_only_score_step():
+    # the three bracket series of this file; on each, both scores rank the
+    # candidates alike, so the pick cannot have changed
+    cases = [
+        (_series(_blob_volume(seed=8), n_tilts=4),
+         SolverConfig(reg_kind="positivity", n_b=2, step_bracket=(1e3, 1e5, 1e9))),
+        _tv_bracket_case((1e3, 1e4, 1e5, 1e6))[:2],
+        (_series(_blob_volume(seed=16), n_tilts=4, dose=5e4, seed=17),
+         SolverConfig(reg_kind="tv", reg_weight=1e-2, n_b=2, step_bracket=(1e3, 1e5, 1e9))),
+    ]
+    for series, cfg in cases:
+        h = TransferFunction.identity(series.grid)
+        step, _ = bracket_step_size(series, cfg, PARAMS, h)
+        assert step == _forward_only_bracket(series, cfg, h) == 1e5
 
 
 def test_step_bracket_search_goes_on_past_a_diverging_largest_step(monkeypatch):
@@ -530,6 +573,14 @@ def test_solver_config_validation():
         SolverConfig(reg_kind="ridge")
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -3e3])
+def test_solver_config_rejects_a_step_bracket_entry_not_positive_and_finite(bad):
+    # NaN would make the largest-first order arbitrary, and the early stop
+    # may never reach an invalid smaller entry
+    with pytest.raises(ValueError, match="step_bracket"):
+        SolverConfig(step_bracket=(3e2, bad, 3e4))
 
 
 def test_cost_history_csv(tmp_path):

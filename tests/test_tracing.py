@@ -1,6 +1,9 @@
 """Tracing: DoG detection, Gaussian fits, refinement loop, classification,
 scoring, tetrahedra."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -142,6 +145,26 @@ def test_fit_window_must_be_odd_and_at_least_3(window):
     v = _blob_volume(10)
     with pytest.raises(ValueError, match="window must be an odd integer >= 3"):
         fit_gaussian_3d(v, (8, 8, 8), window=window)
+
+
+_FLOAT_THRESHOLDS = [f.name for f in dataclasses.fields(tracing.TraceParams)
+                     if f.type == "float"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", _FLOAT_THRESHOLDS)
+def test_trace_params_reject_a_non_finite_threshold(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        tracing.TraceParams(**{name: value})
+
+
+@pytest.mark.parametrize("width_floor, ok", [(-0.5, False), (0.0, True), (1.0, True)])
+def test_trace_params_reject_a_negative_width_floor(width_floor, ok):
+    if ok:
+        assert tracing.TraceParams(width_floor_voxels=width_floor).width_floor_voxels == width_floor
+    else:
+        with pytest.raises(ValueError, match="width_floor_voxels must be >= 0"):
+            tracing.TraceParams(width_floor_voxels=width_floor)
 
 
 def _site(position, intensity, width):
