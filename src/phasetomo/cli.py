@@ -135,6 +135,10 @@ def _load_config(defaults: dict, config_path: str | None, overrides: dict) -> di
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_cfg.items():
+            if isinstance(defaults[key], list) != isinstance(value, list):
+                kind = "a JSON array" if isinstance(defaults[key], list) else "a single value"
+                raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
         cfg.update(file_cfg)
     for key, value in overrides.items():
         if value is not None:
@@ -391,7 +395,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ConfigurationError, FileNotFoundError, KeyError) as exc:
+    except (ConfigError, ConfigurationError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DivergenceError, FloatingPointError) as exc:

@@ -33,7 +33,14 @@ from .fields import (
     band_mask,
     propagation_kernel,
 )
-from .volume import BinnedVolume, InteractionParams, PotentialVolume, bin_slices, rotate
+from .volume import (
+    BinnedVolume,
+    InteractionParams,
+    PotentialVolume,
+    bin_slices,
+    read_manifest,
+    rotate,
+)
 
 RNG_ALGORITHM = "numpy-philox4x64"
 ANTI_ALIAS_FRACTION = 2.0 / 3.0
@@ -305,7 +312,9 @@ def write_tilt_series(series: TiltSeries, out_dir: str | Path) -> None:
 def read_tilt_series(in_dir: str | Path) -> TiltSeries:
     """Read a series directory, validating image count and sizes."""
     in_dir = Path(in_dir)
-    manifest = json.loads((in_dir / "manifest.json").read_text())
+    manifest = read_manifest(in_dir / "manifest.json", (
+        "nx", "ny", "pitch_angstrom", "lambda_angstrom", "tilt_angles_deg",
+        "defoci_angstrom", "total_dose_e_per_A2", "seed"))
     if manifest.get("rng_algorithm") != RNG_ALGORITHM:
         raise ValueError(f"unsupported rng algorithm {manifest.get('rng_algorithm')!r}")
     dose = manifest["total_dose_e_per_A2"]

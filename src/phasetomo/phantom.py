@@ -352,14 +352,25 @@ def write_atoms_csv(atoms: AtomList, path: str | Path) -> None:
             ])
 
 
-def read_atoms_csv(path: str | Path) -> AtomList:
-    path = Path(path)
+def read_csv_rows(path: Path, headers: list[list[str]], what: str) -> list[list[str]]:
+    """Data rows of a CSV whose header is one of ``headers``; a row with
+    another number of fields is a ``ValueError`` naming the file and line."""
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != ATOMS_CSV_HEADER:
-            raise ValueError(f"unexpected atom CSV header {header}")
-        rows = list(reader)
+        header = next(reader, [])
+        if header not in headers:
+            raise ValueError(f"unexpected {what} CSV header {header}")
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"{path}, line {reader.line_num}: expected "
+                                 f"{len(header)} fields, got {len(row)}")
+            rows.append(row)
+    return rows
+
+
+def read_atoms_csv(path: str | Path) -> AtomList:
+    rows = read_csv_rows(Path(path), [ATOMS_CSV_HEADER], "atom")
     if not rows:
         return AtomList.empty()
     positions = np.array([[float(r[0]), float(r[1]), float(r[2])] for r in rows])

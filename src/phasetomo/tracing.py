@@ -13,6 +13,7 @@ sites are pruned between rounds.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import warnings
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import least_squares
 
-from .phantom import AtomList
+from .phantom import ATOMS_CSV_HEADER, AtomList, read_csv_rows
 from .volume import PotentialVolume
 
 DETECTION_BORDER = 2  # voxels excluded from candidate detection
@@ -191,6 +192,18 @@ def find_candidates(filtered: PotentialVolume, border: int = DETECTION_BORDER) -
 # Gaussian refinement
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _sample_grid(shape: tuple[int, int, int]) -> np.ndarray:
+    """(3, n) flattened (z, y, x) voxel coordinates of a patch of ``shape``.
+
+    Built once per window shape and shared by every fit on it, so it is
+    read-only.
+    """
+    grid = np.indices(shape, dtype=np.float64).reshape(3, -1)
+    grid.flags.writeable = False
+    return grid
+
+
 def _fit_patch(patch: np.ndarray, origin: np.ndarray, guess: np.ndarray | None,
                width_max: float | None = None) -> FitResult:
     """Least-squares Gaussian+background fit on an extracted patch.
@@ -200,41 +213,43 @@ def _fit_patch(patch: np.ndarray, origin: np.ndarray, guess: np.ndarray | None,
     unsubtracted neighbors shoulder into the window.
     """
     nz, ny, nx = patch.shape
-    zz, yy, xx = np.meshgrid(
-        np.arange(nz, dtype=np.float64),
-        np.arange(ny, dtype=np.float64),
-        np.arange(nx, dtype=np.float64),
-        indexing="ij",
-    )
+    zz, yy, xx = _sample_grid(patch.shape)
     flat = patch.ravel()
     lo = max(float(flat.min()), 0.0)
     if guess is None:
         center = np.array([(nz - 1) / 2.0, (ny - 1) / 2.0, (nx - 1) / 2.0])
         guess = np.array([float(flat.max()) - lo, *center, 1.0, lo])
 
-    def model_and_parts(p):
-        a, z0, y0, x0, s, b0 = p
-        r2 = (zz - z0) ** 2 + (yy - y0) ** 2 + (xx - x0) ** 2
-        e = np.exp(-r2 / (2.0 * s * s))
-        return a, s, e, r2, b0
+    # least_squares evaluates jac at the point of its last fun call, so the
+    # model of the latest parameter vector serves both
+    last_key, last_parts = None, None
+
+    def model_parts(p):
+        nonlocal last_key, last_parts
+        key = p.tobytes()
+        if key != last_key:
+            a, z0, y0, x0, s, _ = p
+            dz, dy, dx = zz - z0, yy - y0, xx - x0
+            r2 = dz ** 2 + dy ** 2 + dx ** 2
+            e = np.exp(-r2 / (2.0 * s * s))
+            last_key, last_parts = key, (dz, dy, dx, r2, e, a * e)
+        return last_parts
 
     def fun(p):
-        a, s, e, _, b0 = model_and_parts(p)
-        return (a * e + b0 - patch).ravel()
+        return model_parts(p)[-1] + p[5] - flat
 
     def jac(p):
-        a, s, e, r2, _ = model_and_parts(p)
-        z0, y0, x0 = p[1], p[2], p[3]
+        dz, dy, dx, r2, e, ae = model_parts(p)
+        s = p[4]
         inv_s2 = 1.0 / (s * s)
-        cols = [
-            e.ravel(),
-            (a * e * (zz - z0) * inv_s2).ravel(),
-            (a * e * (yy - y0) * inv_s2).ravel(),
-            (a * e * (xx - x0) * inv_s2).ravel(),
-            (a * e * r2 / s**3).ravel(),
-            np.ones(flat.size),
-        ]
-        return np.stack(cols, axis=1)
+        j = np.empty((flat.size, 6))
+        j[:, 0] = e
+        j[:, 1] = ae * dz * inv_s2
+        j[:, 2] = ae * dy * inv_s2
+        j[:, 3] = ae * dx * inv_s2
+        j[:, 4] = ae * r2 / s**3
+        j[:, 5] = 1.0
+        return j
 
     # bound every parameter to the patch scale. The potential (and hence
     # any local background) is non-negative; without b >= 0 the fit has a
@@ -640,14 +655,7 @@ def write_traced_csv(traced: TracedAtoms, path: str | Path) -> None:
 def read_sites_csv(path: str | Path, pitch: float) -> TracedAtoms:
     """Read traced sites; also accepts ground-truth atom CSVs (their
     ``amplitude`` column is taken as the intensity)."""
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header not in (TRACED_CSV_HEADER,
-                          ["x_A", "y_A", "z_A", "species", "amplitude", "width"]):
-            raise ValueError(f"unexpected site CSV header {header}")
-        rows = list(reader)
+    rows = read_csv_rows(Path(path), [TRACED_CSV_HEADER, ATOMS_CSV_HEADER], "site")
     if not rows:
         return TracedAtoms.empty(pitch)
     xyz = np.array([[float(r[0]), float(r[1]), float(r[2])] for r in rows])

@@ -412,10 +412,22 @@ def write_volume(v: PotentialVolume, raw_path: str | Path, units: str = "V*A") -
     volume_sidecar_path(raw_path).write_text(json.dumps(meta, indent=2) + "\n")
 
 
+def read_manifest(path: Path, keys: tuple[str, ...]) -> dict:
+    """The JSON object in ``path``; a missing one of ``keys`` is a
+    ``ValueError`` naming the file and the key."""
+    meta = json.loads(path.read_text())
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    missing = [k for k in keys if k not in meta]
+    if missing:
+        raise ValueError(f"{path}: missing key {', '.join(missing)}")
+    return meta
+
+
 def read_volume(raw_path: str | Path) -> PotentialVolume:
     """Read a raw+JSON volume, validating the byte count."""
     raw_path = Path(raw_path)
-    meta = json.loads(volume_sidecar_path(raw_path).read_text())
+    meta = read_manifest(volume_sidecar_path(raw_path), ("nx", "ny", "nz", "pitch_angstrom"))
     nx, ny, nz = int(meta["nx"]), int(meta["ny"]), int(meta["nz"])
     blob = raw_path.read_bytes()
     expected = 4 * nx * ny * nz

@@ -311,6 +311,81 @@ def test_evaluate_truth_against_itself_is_perfect(phantom_dir, tmp_path):
     assert report["position_error_mean_pm"] == pytest.approx(0.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("bad", ["truth", "traced"])
+def test_evaluate_rejects_a_truncated_csv_row(phantom_dir, tmp_path, capsys, bad):
+    # a row short of its six fields used to end in an uncaught IndexError
+    lines = (phantom_dir / "atoms.csv").read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 2)[0]
+    truncated = tmp_path / "truncated.csv"
+    truncated.write_text("\n".join(lines) + "\n")
+    files = {"truth": str(phantom_dir / "atoms.csv"), "traced": str(phantom_dir / "atoms.csv")}
+    files[bad] = str(truncated)
+    assert main(["evaluate", "--traced", files["traced"], "--truth", files["truth"],
+                 "--out", str(tmp_path / "eval")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "truncated.csv, line 3: expected 6 fields, got 4" in err
+
+
+def test_volume_sidecar_without_a_key_exits_2_and_names_it(tmp_path, capsys):
+    write_volume(PotentialVolume(np.zeros((12, 12, 12)), 0.5), tmp_path / "v.raw")
+    meta = json.loads((tmp_path / "v.json").read_text())
+    del meta["nz"]
+    (tmp_path / "v.json").write_text(json.dumps(meta))
+    assert main(["trace", "--volume", str(tmp_path / "v.raw"),
+                 "--out", str(tmp_path / "trace")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "v.json: missing key nz" in err
+
+
+def test_series_manifest_without_a_key_exits_2_and_names_it(phantom_dir, tmp_path, capsys):
+    series_dir = _small_series(phantom_dir, tmp_path, "nolambda")
+    manifest = json.loads((series_dir / "manifest.json").read_text())
+    del manifest["lambda_angstrom"]
+    (series_dir / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["reconstruct", "--series", str(series_dir),
+                 "--out", str(tmp_path / "rec")]) == cli.EXIT_CONFIG
+    assert "manifest.json: missing key lambda_angstrom" in capsys.readouterr().err
+
+
+def test_a_key_error_from_a_program_bug_propagates(tmp_path, monkeypatch):
+    # a KeyError is no configuration error: it must not be reported as exit 2
+    write_volume(PotentialVolume(np.zeros((12, 12, 12)), 0.5), tmp_path / "v.raw")
+
+    def buggy_trace(v, params):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "trace_atoms", buggy_trace)
+    with pytest.raises(KeyError, match="bug"):
+        main(["trace", "--volume", str(tmp_path / "v.raw"), "--out", str(tmp_path / "t")])
+
+
+@pytest.mark.parametrize("key, value, kind", [
+    ("defoci", 250.0, "a JSON array"),
+    ("n_tilts", [4], "a single value"),
+])
+def test_simulate_rejects_a_config_value_of_the_wrong_kind(phantom_dir, tmp_path, capsys,
+                                                           key, value, kind):
+    # these used to end in an uncaught TypeError
+    cfg = _write_config(tmp_path, "sim_kind.json", {
+        "phantom_dir": str(phantom_dir), "n_tilts": 4, "defoci": [250.0],
+        "total_dose": "infinite", "n_b": 4, key: value,
+    })
+    out = tmp_path / "series_kind"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert f"config key '{key}' must be {kind}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_rejects_a_single_reg_weight(phantom_dir, tmp_path, capsys):
+    series_dir = _small_series(phantom_dir, tmp_path, "sweep_kind")
+    cfg = _write_config(tmp_path, "sweep_kind.json", {
+        "step_size": 3e4, "reg_weights": 1e-4, "n_b": 4, "max_iter": 1,
+    })
+    assert main(["sweep", "--config", cfg, "--series", str(series_dir),
+                 "--out", str(tmp_path / "sweep_kind")]) == cli.EXIT_CONFIG
+    assert "config key 'reg_weights' must be a JSON array" in capsys.readouterr().err
+
+
 def test_missing_required_inputs_exit_2(tmp_path):
     assert main(["reconstruct", "--out", str(tmp_path / "x")]) == 2
     assert main(["trace", "--out", str(tmp_path / "y")]) == 2

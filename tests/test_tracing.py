@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 from phasetomo import (
     AtomList,
@@ -145,6 +146,126 @@ def test_fit_window_must_be_odd_and_at_least_3(window):
     v = _blob_volume(10)
     with pytest.raises(ValueError, match="window must be an odd integer >= 3"):
         fit_gaussian_3d(v, (8, 8, 8), window=window)
+
+
+def _fit_patch_oracle(patch: np.ndarray, origin: np.ndarray, guess: np.ndarray | None,
+                      width_max: float | None = None) -> tracing.FitResult:
+    """The fit as it was before the model parts were shared between
+    ``fun`` and ``jac``: a verbatim copy, kept as the byte oracle."""
+    nz, ny, nx = patch.shape
+    zz, yy, xx = np.meshgrid(
+        np.arange(nz, dtype=np.float64),
+        np.arange(ny, dtype=np.float64),
+        np.arange(nx, dtype=np.float64),
+        indexing="ij",
+    )
+    flat = patch.ravel()
+    lo = max(float(flat.min()), 0.0)
+    if guess is None:
+        center = np.array([(nz - 1) / 2.0, (ny - 1) / 2.0, (nx - 1) / 2.0])
+        guess = np.array([float(flat.max()) - lo, *center, 1.0, lo])
+
+    def model_and_parts(p):
+        a, z0, y0, x0, s, b0 = p
+        r2 = (zz - z0) ** 2 + (yy - y0) ** 2 + (xx - x0) ** 2
+        e = np.exp(-r2 / (2.0 * s * s))
+        return a, s, e, r2, b0
+
+    def fun(p):
+        a, s, e, _, b0 = model_and_parts(p)
+        return (a * e + b0 - patch).ravel()
+
+    def jac(p):
+        a, s, e, r2, _ = model_and_parts(p)
+        z0, y0, x0 = p[1], p[2], p[3]
+        inv_s2 = 1.0 / (s * s)
+        cols = [
+            e.ravel(),
+            (a * e * (zz - z0) * inv_s2).ravel(),
+            (a * e * (yy - y0) * inv_s2).ravel(),
+            (a * e * (xx - x0) * inv_s2).ravel(),
+            (a * e * r2 / s**3).ravel(),
+            np.ones(flat.size),
+        ]
+        return np.stack(cols, axis=1)
+
+    # bound every parameter to the patch scale. The potential (and hence
+    # any local background) is non-negative; without b >= 0 the fit has a
+    # degenerate direction (A up, b down) when sigma reaches window scale.
+    span = float(max(nz, ny, nx))
+    s_hi = span if width_max is None else min(span, width_max)
+    ptp = max(float(flat.max() - flat.min()), 1e-12)
+    b_hi = max(float(flat.max()), 1e-9)
+    lower = [0.0, -1.0, -1.0, -1.0, 0.2, 0.0]
+    upper = [4.0 * ptp, nz, ny, nx, s_hi, b_hi]
+    guess = np.clip(guess, lower, upper)
+    result = least_squares(fun, guess, jac=jac, bounds=(lower, upper), max_nfev=100)
+    a, z0, y0, x0, s, b0 = result.x
+    return tracing.FitResult(
+        position=np.array([z0, y0, x0]) + origin,
+        intensity=float(a),
+        width=float(s),
+        background=float(b0),
+        residual=float(np.linalg.norm(result.fun)),
+        converged=bool(result.status > 0),
+    )
+
+
+def _fit_bytes(fit):
+    return (fit.position.tobytes(),
+            *(np.float64(x).tobytes() for x in (fit.intensity, fit.width, fit.background,
+                                                fit.residual)),
+            fit.converged)
+
+
+def _oracle_patch(kind, window, seed=0):
+    """A fit patch and guess of the given kind; peaks are noisy Gaussians."""
+    if kind == "flat":
+        return np.full((window,) * 3, 2.0), None
+    c = (window - 1) / 2.0
+    center = {"centred": (c + 0.3, c - 0.2, c + 0.1),
+              "centred_guess": (c - 0.4, c + 0.25, c),
+              "off_centre": (-0.6, window - 0.5, 0.4)}[kind]
+    grid = np.indices((window,) * 3, dtype=np.float64)
+    r2 = sum((g - x) ** 2 for g, x in zip(grid, center))
+    rng = np.random.default_rng(seed + window)
+    patch = 40.0 * np.exp(-r2 / (2 * 1.1**2)) + 3.0 + rng.normal(0.0, 2.0, r2.shape)
+    guess = (np.array([35.0, *(np.array(center) + 0.3), 1.3, 2.0])
+             if kind != "centred" else None)
+    return patch, guess
+
+
+@pytest.mark.parametrize("window", [5, 7])
+@pytest.mark.parametrize("width_max", [None, 3.0])
+@pytest.mark.parametrize("kind", ["centred", "centred_guess", "off_centre", "flat"])
+def test_fit_patch_is_byte_identical_to_the_unshared_model_fit(kind, width_max, window):
+    patch, guess = _oracle_patch(kind, window)
+    origin = np.array([3, 4, 5])
+    new = tracing._fit_patch(patch, origin, guess, width_max=width_max)
+    old = _fit_patch_oracle(patch, origin, guess, width_max=width_max)
+    assert _fit_bytes(new) == _fit_bytes(old)
+
+
+def test_fit_sample_grid_is_read_only_and_shared_per_window_shape():
+    grid = tracing._sample_grid((7, 7, 7))
+    assert grid.shape == (3, 343)
+    assert tracing._sample_grid((7, 7, 7)) is grid
+    assert not grid.flags.writeable and not grid[0].flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        grid[0, 0] = 1.0
+    np.testing.assert_array_equal(grid.reshape(3, 7, 7, 7),
+                                  np.indices((7, 7, 7), dtype=np.float64))
+
+
+def test_fit_on_7_cube_is_unchanged_by_a_5_cube_fit_in_between():
+    patch7, guess7 = _oracle_patch("centred_guess", 7, seed=11)
+    patch5, _ = _oracle_patch("centred", 5, seed=11)
+    origin = np.zeros(3)
+    before = _fit_bytes(tracing._fit_patch(patch7, origin, guess7, width_max=3.0))
+    tracing._fit_patch(patch5, origin, None, width_max=3.0)
+    after = _fit_bytes(tracing._fit_patch(patch7, origin, guess7, width_max=3.0))
+    assert before == after
+    assert before == _fit_bytes(_fit_patch_oracle(patch7, origin, guess7, width_max=3.0))
 
 
 _FLOAT_THRESHOLDS = [f.name for f in dataclasses.fields(tracing.TraceParams)
