@@ -86,15 +86,16 @@ SIMULATE_DEFAULTS = {
     "seed": 0,
 }
 
+_SOLVER = SolverConfig()  # the solver's own defaults; n_b keeps the CLI's 10
 RECONSTRUCT_DEFAULTS = {
     "series_dir": None,
-    "step_size": None,
-    "reg_kind": "tv",
-    "reg_weight": 0.0,
+    "step_size": _SOLVER.step_size,
+    "reg_kind": _SOLVER.reg_kind,
+    "reg_weight": _SOLVER.reg_weight,
     "n_b": 10,
-    "max_iter": 40,
-    "tv_inner_iters": 20,
-    "anti_alias": True,
+    "max_iter": _SOLVER.max_iter,
+    "tv_inner_iters": _SOLVER.tv_inner_iters,
+    "anti_alias": _SOLVER.anti_alias,
     "aperture_qmax": None,
     "seed": 0,
 }
@@ -136,6 +137,10 @@ def _load_config(defaults: dict, config_path: str | None, overrides: dict) -> di
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, value in file_cfg.items():
+            if defaults[key] is not None and (
+                value is None or isinstance(value, list) and None in value
+            ):
+                raise ConfigError(f"config key {key!r} must not be null, got {value!r}")
             if isinstance(defaults[key], list) != isinstance(value, list):
                 kind = "a JSON array" if isinstance(defaults[key], list) else "a single value"
                 raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
@@ -213,7 +218,7 @@ def cmd_simulate(args) -> int:
     plan = AcquisitionPlan(
         tilt_angles=tuple(angles),
         defoci=tuple(float(d) for d in cfg["defoci"]),
-        total_dose=math.inf if dose in ("infinite", None) else float(dose),
+        total_dose=math.inf if dose == "infinite" else float(dose),
         seed=int(cfg["seed"]),
     )
     grid = GridSpec(v.nx, v.ny, v.pitch, params.wavelength)

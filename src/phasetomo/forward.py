@@ -312,9 +312,11 @@ def write_tilt_series(series: TiltSeries, out_dir: str | Path) -> None:
 def read_tilt_series(in_dir: str | Path) -> TiltSeries:
     """Read a series directory, validating image count and sizes."""
     in_dir = Path(in_dir)
-    manifest = read_manifest(in_dir / "manifest.json", (
-        "nx", "ny", "pitch_angstrom", "lambda_angstrom", "tilt_angles_deg",
-        "defoci_angstrom", "total_dose_e_per_A2", "seed"))
+    manifest = read_manifest(in_dir / "manifest.json", {
+        "nx": "number", "ny": "number", "pitch_angstrom": "number",
+        "lambda_angstrom": "number", "tilt_angles_deg": "numbers",
+        "defoci_angstrom": "numbers", "total_dose_e_per_A2": "number or infinite",
+        "seed": "number"})
     if manifest.get("rng_algorithm") != RNG_ALGORITHM:
         raise ValueError(f"unsupported rng algorithm {manifest.get('rng_algorithm')!r}")
     dose = manifest["total_dose_e_per_A2"]

@@ -43,6 +43,7 @@ from .volume import (
 
 REG_KINDS = ("positivity", "lasso", "tv")
 DIVERGENCE_FACTOR = 10.0
+TV_INNER_ITERS = 5  # FGP dual steps per TV prox, warm-started within a run
 
 
 class DivergenceError(RuntimeError):
@@ -67,7 +68,9 @@ class SolverConfig:
     tries the largest step first and stops once the cost rises, which
     assumes the cost is unimodal in the step; a losing candidate's sweep
     stops as soon as its running cost passes the best (see
-    :func:`bracket_step_size`).
+    :func:`bracket_step_size`). Each TV prox runs ``tv_inner_iters``
+    dual steps, warm-started from the previous outer iteration's final
+    dual (see :func:`apply_prox`).
     """
 
     step_size: float | None = None
@@ -75,7 +78,7 @@ class SolverConfig:
     reg_weight: float = 0.0
     n_b: int = 1
     max_iter: int = 40
-    tv_inner_iters: int = 20
+    tv_inner_iters: int = TV_INNER_ITERS
     anti_alias: bool = True
     step_bracket: tuple[float, float, float] = (3e2, 3e3, 3e4)
 
@@ -99,13 +102,20 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Mutable state of one reconstruction run."""
+    """Mutable state of one reconstruction run.
+
+    ``tv_dual`` is the final FGP dual of the run's last TV prox, shape
+    (3, nz, ny, nx); the next TV prox starts from it (see
+    :func:`apply_prox`). It stays None until a TV prox with a positive
+    threshold runs, so positivity and Lasso runs never allocate it.
+    """
 
     u: PotentialVolume            # momentum iterate (may be complex mid-sweep)
     v_curr: PotentialVolume       # prox output of iteration k
     t: float = 1.0
     k: int = 0
     cost_history: list[float] = field(default_factory=list)
+    tv_dual: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +169,24 @@ def total_variation(x: np.ndarray) -> float:
     return float(np.sum(np.sqrt(np.sum(g * g, axis=0))))
 
 
-def prox_tv(v: PotentialVolume, weight: float, inner_iters: int = 20) -> PotentialVolume:
+def prox_tv(
+    v: PotentialVolume,
+    weight: float,
+    inner_iters: int = TV_INNER_ITERS,
+    dual: np.ndarray | None = None,
+) -> PotentialVolume:
     """Approximate minimizer of 0.5||x-v||^2 + weight*TV(x), x >= 0.
 
-    Solved in the dual by accelerated projected gradient iterations on
-    the per-voxel unit-ball constraint (isotropic TV, Neumann
-    boundaries). ``inner_iters`` dual steps are performed; weight 0
-    reduces exactly to the positivity projection.
+    Solved in the dual by accelerated projected gradient iterations (FGP,
+    Beck & Teboulle 2009) on the per-voxel unit-ball constraint
+    (isotropic TV, Neumann boundaries). ``inner_iters`` dual steps are
+    performed; weight 0 reduces exactly to the positivity projection.
+
+    With ``dual`` None the dual starts at zero (a cold start). Otherwise
+    ``dual``, a float64 array of shape (3,) + v.shape, is the starting
+    dual (the momentum scalar still starts at 1) and is overwritten with
+    the final one, so a caller can warm-start the next prox of the same
+    weight from it. A zero ``dual`` gives the cold prox, bit for bit.
     """
     if weight < 0:
         raise ValueError("weight must be non-negative")
@@ -176,7 +197,7 @@ def prox_tv(v: PotentialVolume, weight: float, inner_iters: int = 20) -> Potenti
     b = np.real(v.values).astype(np.float64)
     # Every buffer is allocated once; each update runs the same float
     # operations in the same order as the plain expressions in comments.
-    p = np.zeros((3,) + b.shape)
+    p = np.zeros((3,) + b.shape) if dual is None else dual
     p_new = np.empty_like(p)
     q = p.copy()
     grad = np.zeros_like(p)  # far-boundary planes stay zero (_tv_gradient)
@@ -210,11 +231,16 @@ def prox_tv(v: PotentialVolume, weight: float, inner_iters: int = 20) -> Potenti
         q += p_new
         p, p_new, t = p_new, p, t_new
     primal(p)
+    if dual is not None and p is not dual:  # an odd count ends in the other buffer
+        np.copyto(dual, p)
     return PotentialVolume(x, v.pitch)
 
 
 def apply_prox(
-    v: PotentialVolume, cfg: SolverConfig, background_counts: float
+    v: PotentialVolume,
+    cfg: SolverConfig,
+    background_counts: float,
+    state: SolverState,
 ) -> PotentialVolume:
     """Proximal step of ``cfg.reg_kind`` with threshold eta*lambda/s.
 
@@ -228,13 +254,22 @@ def apply_prox(
     against the data term in counts keeps its meaning at every dose. An
     infinite-dose series has s = inf, so the threshold is 0 and only
     positivity is applied.
+
+    A TV prox starts from ``state.tv_dual``, the final dual of the run's
+    previous TV prox, and leaves its own final dual there; the run's
+    first TV prox starts cold. Within a run the threshold is fixed, so
+    each prox refines the last one's dual, and the prox error shrinks
+    over the outer iterations as an inexact accelerated proximal
+    gradient needs (Schmidt, Le Roux & Bach 2011).
     """
     threshold = (cfg.step_size or 0.0) * cfg.reg_weight / background_counts
     if cfg.reg_kind == "positivity" or threshold == 0.0:
         return prox_positivity(v)
     if cfg.reg_kind == "lasso":
         return prox_lasso(v, threshold)
-    return prox_tv(v, threshold, cfg.tv_inner_iters)
+    if state.tv_dual is None:
+        state.tv_dual = np.zeros((3,) + v.values.shape)  # a cold start
+    return prox_tv(v, threshold, cfg.tv_inner_iters, state.tv_dual)
 
 
 def nesterov_next_t(t: float) -> float:
@@ -306,6 +341,8 @@ def _outer_iteration(state: SolverState, series: TiltSeries, cfg: SolverConfig,
                      tilt_order: np.ndarray | None, stop_above: float = math.inf) -> None:
     """Advance ``state`` in place by one sweep at eta = ``cfg.step_size``,
     the prox and the Nesterov extrapolation, recording the sweep's cost.
+    A TV prox starts from the previous iteration's final dual and leaves
+    its own in ``state.tv_dual`` for the next (see :func:`apply_prox`).
 
     A sweep stopped above ``stop_above`` (see :func:`_sweep`) records its
     partial cost and leaves the iterate there: no prox, no extrapolation.
@@ -318,7 +355,7 @@ def _outer_iteration(state: SolverState, series: TiltSeries, cfg: SolverConfig,
             raise DivergenceError("step size too large")
         if cost > stop_above:
             return
-        v_new = apply_prox(state.u, cfg, series.background_counts)
+        v_new = apply_prox(state.u, cfg, series.background_counts, state)
         t_next = nesterov_next_t(state.t)
         momentum = (state.t - 1.0) / t_next
         # v_curr still holds V^(k-1) at this point

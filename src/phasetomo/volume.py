@@ -412,22 +412,43 @@ def write_volume(v: PotentialVolume, raw_path: str | Path, units: str = "V*A") -
     volume_sidecar_path(raw_path).write_text(json.dumps(meta, indent=2) + "\n")
 
 
-def read_manifest(path: Path, keys: tuple[str, ...]) -> dict:
-    """The JSON object in ``path``; a missing one of ``keys`` is a
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# The kinds of manifest field ``read_manifest`` checks: test, description.
+MANIFEST_KINDS = {
+    "number": (_is_number, "a number"),
+    "numbers": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+                "an array of numbers"),
+    "number or infinite": (lambda v: v == "infinite" or _is_number(v),
+                           'a number or "infinite"'),
+}
+
+
+def read_manifest(path: Path, kinds: dict[str, str]) -> dict:
+    """The JSON object in ``path``. A missing key of ``kinds``, or a value
+    not of its kind in :data:`MANIFEST_KINDS` (``null`` included), is a
     ``ValueError`` naming the file and the key."""
     meta = json.loads(path.read_text())
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    missing = [k for k in keys if k not in meta]
+    missing = [k for k in kinds if k not in meta]
     if missing:
         raise ValueError(f"{path}: missing key {', '.join(missing)}")
+    for key, kind in kinds.items():
+        is_kind, description = MANIFEST_KINDS[kind]
+        if not is_kind(meta[key]):
+            raise ValueError(f"{path}: {key} must be {description}, "
+                             f"got {json.dumps(meta[key])}")
     return meta
 
 
 def read_volume(raw_path: str | Path) -> PotentialVolume:
     """Read a raw+JSON volume, validating the byte count."""
     raw_path = Path(raw_path)
-    meta = read_manifest(volume_sidecar_path(raw_path), ("nx", "ny", "nz", "pitch_angstrom"))
+    meta = read_manifest(volume_sidecar_path(raw_path),
+                         dict.fromkeys(("nx", "ny", "nz", "pitch_angstrom"), "number"))
     nx, ny, nz = int(meta["nx"]), int(meta["ny"]), int(meta["nz"])
     blob = raw_path.read_bytes()
     expected = 4 * nx * ny * nz

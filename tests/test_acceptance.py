@@ -424,16 +424,18 @@ def test_criterion_8b_missing_wedge_inflates_axial_error(desk_run):
 
 def test_criterion_8c_regularizer_ranking(desk_run):
     g, series = desk_run["g"], desk_run["series"]
-    accuracy = {"tv": desk_run["report"].correct_species_pct}
+    reports = {"tv": desk_run["report"]}
     for kind in ("lasso", "positivity"):
         weight = DESK["reg_weight"] if kind == "lasso" else 0.0
         volume, _ = _desk_reconstruct(series, reg_kind=kind, reg_weight=weight)
-        _, rep = _trace_and_score(volume, g)
-        accuracy[kind] = rep.correct_species_pct
+        _, reports[kind] = _trace_and_score(volume, g)
+    accuracy = {kind: rep.correct_species_pct for kind, rep in reports.items()}
     ok = accuracy["tv"] >= accuracy["lasso"] >= accuracy["positivity"]
+    # species accuracy saturates at this dose; false positives still tell
+    # the regularisers apart, so the detail shows them
     _report("criterion 8c: species accuracy TV >= Lasso >= positivity-only", ok,
-            f"tv {accuracy['tv']:.1f}%, lasso {accuracy['lasso']:.1f}%, "
-            f"positivity {accuracy['positivity']:.1f}%")
+            ", ".join(f"{kind} {accuracy[kind]:.1f}% (fp {rep.false_positives_pct:.1f}%)"
+                      for kind, rep in reports.items()))
 
 
 def test_criterion_8d_vacancy_sites_stay_empty():

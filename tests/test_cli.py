@@ -376,6 +376,71 @@ def test_simulate_rejects_a_config_value_of_the_wrong_kind(phantom_dir, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("n_tilts", None), ("defoci", [250.0, None])])
+def test_simulate_rejects_a_null_config_value(phantom_dir, tmp_path, capsys, key, value):
+    # used to die in int(None) or float(None), exit 1 with a traceback
+    cfg = _write_config(tmp_path, "sim_null.json", {
+        "phantom_dir": str(phantom_dir), "n_tilts": 4, "defoci": [250.0], "n_b": 4,
+        key: value,
+    })
+    out = tmp_path / "series_null"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert f"config key '{key}' must not be null" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reconstruct_rejects_a_null_tv_inner_iters(phantom_dir, tmp_path, capsys):
+    series_dir = _small_series(phantom_dir, tmp_path, "tvnull")
+    cfg = _write_config(tmp_path, "rec_tvnull.json", {
+        "step_size": 3e4, "reg_kind": "tv", "n_b": 4, "max_iter": 1,
+        "tv_inner_iters": None,
+    })
+    out = tmp_path / "rectvnull"
+    assert main(["reconstruct", "--config", cfg, "--series", str(series_dir),
+                 "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "config key 'tv_inner_iters' must not be null" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_null_is_accepted_where_the_default_is_null(phantom_dir, tmp_path):
+    series_dir = _small_series(phantom_dir, tmp_path, "stepnull")
+    cfg = _write_config(tmp_path, "rec_stepnull.json", {
+        "step_size": None, "aperture_qmax": None, "reg_kind": "positivity", "n_b": 4,
+        "max_iter": 1,
+    })
+    assert main(["reconstruct", "--config", cfg, "--series", str(series_dir),
+                 "--out", str(tmp_path / "recstepnull")]) == 0
+
+
+@pytest.mark.parametrize("value", [None, "48", True])
+def test_trace_on_a_sidecar_with_a_non_numeric_dimension_exits_2(tmp_path, capsys, value):
+    write_volume(PotentialVolume(np.zeros((12, 12, 12)), 0.5), tmp_path / "v.raw")
+    meta = json.loads((tmp_path / "v.json").read_text())
+    meta["nz"] = value
+    (tmp_path / "v.json").write_text(json.dumps(meta))
+    assert main(["trace", "--volume", str(tmp_path / "v.raw"),
+                 "--out", str(tmp_path / "trace")]) == cli.EXIT_CONFIG
+    assert f"v.json: nz must be a number, got {json.dumps(value)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("nx", None, "nx must be a number, got null"),
+    ("seed", "0", 'seed must be a number, got "0"'),
+    ("tilt_angles_deg", [0.0, None], "tilt_angles_deg must be an array of numbers"),
+    ("defoci_angstrom", 250.0, "defoci_angstrom must be an array of numbers"),
+    ("total_dose_e_per_A2", None, 'total_dose_e_per_A2 must be a number or "infinite"'),
+])
+def test_series_manifest_with_a_non_numeric_field_exits_2_and_names_it(
+        phantom_dir, tmp_path, capsys, key, value, message):
+    series_dir = _small_series(phantom_dir, tmp_path, "badfield")
+    manifest = json.loads((series_dir / "manifest.json").read_text())
+    manifest[key] = value
+    (series_dir / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["reconstruct", "--series", str(series_dir),
+                 "--out", str(tmp_path / "rec")]) == cli.EXIT_CONFIG
+    assert f"manifest.json: {message}" in capsys.readouterr().err
+
+
 def test_sweep_rejects_a_single_reg_weight(phantom_dir, tmp_path, capsys):
     series_dir = _small_series(phantom_dir, tmp_path, "sweep_kind")
     cfg = _write_config(tmp_path, "sweep_kind.json", {

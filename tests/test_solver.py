@@ -1,5 +1,6 @@
 """Proximal operators, Nesterov scalars, and the reconstruction loop."""
 
+import inspect
 import math
 from dataclasses import replace
 
@@ -180,7 +181,7 @@ def _prox_tv_oracle(v, weight, inner_iters=20):
 
 
 @pytest.mark.parametrize("shape", [(6, 6, 6), (1, 5, 7), (7, 7, 7)])
-@pytest.mark.parametrize("inner_iters", [1, 20])
+@pytest.mark.parametrize("inner_iters", [1, solver.TV_INNER_ITERS, 20])
 @pytest.mark.parametrize("weight", [1e-4, 1.0])
 def test_prox_tv_is_byte_identical_to_the_unbuffered_oracle(shape, inner_iters, weight):
     rng = np.random.default_rng(sum(shape) + inner_iters)
@@ -197,6 +198,32 @@ def test_prox_tv_rejects_fewer_than_one_inner_iteration(inner_iters):
     v = PotentialVolume(np.ones((3, 3, 3)), 0.5)
     with pytest.raises(ValueError, match="inner_iters"):
         prox_tv(v, 0.1, inner_iters)
+
+
+def _tv_input(shape=(7, 7, 7), seed=20):
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(0.0, 1.0, shape)
+    base[2:5, 2:5, 2:5] += 2.0
+    return PotentialVolume(base + rng.normal(0.0, 0.3, shape), 0.5)
+
+
+@pytest.mark.parametrize("inner_iters", [1, 4, 5])
+def test_prox_tv_from_a_zero_dual_is_the_cold_prox(inner_iters):
+    v = _tv_input()
+    dual = np.zeros((3,) + v.values.shape)
+    got = prox_tv(v, 0.3, inner_iters, dual).values
+    assert got.tobytes() == prox_tv(v, 0.3, inner_iters).values.tobytes()
+    # the final dual is left in the caller's array, whatever the parity of the count
+    assert np.any(dual != 0.0) and np.all(np.sum(dual * dual, axis=0) <= 1.0 + 1e-12)
+
+
+def test_prox_tv_warm_started_from_a_converged_dual_beats_a_cold_start():
+    v, weight = _tv_input(), 0.3
+    dual = np.zeros((3,) + v.values.shape)
+    converged = prox_tv(v, weight, 400, dual).values
+    cold = prox_tv(v, weight, solver.TV_INNER_ITERS).values
+    warm = prox_tv(v, weight, solver.TV_INNER_ITERS, dual).values
+    assert np.linalg.norm(warm - converged) < 0.1 * np.linalg.norm(cold - converged)
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +380,9 @@ def test_apply_prox_threshold_is_step_times_weight_over_background_counts():
     for kind, prox in (("lasso", prox_lasso), ("tv", prox_tv)):
         cfg = SolverConfig(step_size=3e3, reg_kind=kind, reg_weight=3e-3)
         expected = prox(v, 3e3 * 3e-3 / counts).values
-        assert np.array_equal(apply_prox(v, cfg, counts).values, expected)
-        assert np.array_equal(apply_prox(v, cfg, math.inf).values,
+        fresh = solver.SolverState(v, v)  # no dual yet: the TV prox starts cold
+        assert np.array_equal(apply_prox(v, cfg, counts, fresh).values, expected)
+        assert np.array_equal(apply_prox(v, cfg, math.inf, fresh).values,
                               prox_positivity(v).values)
 
 
@@ -397,6 +425,67 @@ def test_reconstruct_infinite_dose_warns_and_applies_positivity_only():
         else:
             out[kind], _ = reconstruct(series, cfg, PARAMS)
     assert np.array_equal(out["tv"].values, out["positivity"].values)
+
+
+def _record_tv_duals(monkeypatch):
+    """Copies of the dual each prox_tv call starts from and ends with."""
+    entries, exits = [], []
+    original = solver.prox_tv
+
+    def recorded(v, weight, inner_iters, dual=None):
+        entries.append(None if dual is None else dual.copy())
+        out = original(v, weight, inner_iters, dual)
+        exits.append(None if dual is None else dual.copy())
+        return out
+
+    monkeypatch.setattr(solver, "prox_tv", recorded)
+    return entries, exits
+
+
+def test_outer_iteration_hands_each_tv_dual_to_the_next(monkeypatch):
+    series, cfg, h = _tv_bracket_case((1e5,))
+    cfg = replace(cfg, step_size=1e5)
+    entries, exits = _record_tv_duals(monkeypatch)
+    state = solver._initial_state(series.grid)
+    for _ in range(3):
+        solver._outer_iteration(state, series, cfg, PARAMS, h, None)
+    assert len(entries) == 3
+    assert not np.any(entries[0])  # the run's first prox starts cold
+    for k in range(2):
+        assert np.any(exits[k])
+        assert entries[k + 1].tobytes() == exits[k].tobytes()
+    assert state.tv_dual.tobytes() == exits[-1].tobytes()
+
+
+def test_every_bracket_candidate_starts_cold_and_the_winner_carries_its_dual(monkeypatch):
+    series, cfg, h = _tv_bracket_case((1e4, 1e5, 1e6))
+    entries, exits = _record_tv_duals(monkeypatch)
+    _, history = reconstruct(series, replace(cfg, max_iter=2), PARAMS, h)
+    # 1e6 and 1e5 get a prox, 1e4 stops costlier without one; then iteration 2
+    assert len(entries) == 3 and len(history) == 2
+    assert not np.any(entries[0]) and not np.any(entries[1])
+    assert entries[2].tobytes() == exits[1].tobytes()  # the winner, 1e5
+
+
+@pytest.mark.parametrize("kind, weight, dose", [
+    ("positivity", 0.0, 5e4),
+    ("lasso", 1e-2, 5e4),
+    ("tv", 0.0, 5e4),
+    ("tv", 1e-2, math.inf),
+])
+def test_runs_without_a_tv_threshold_allocate_no_dual(kind, weight, dose):
+    series = _series(_blob_volume(seed=21), n_tilts=4, dose=dose, seed=22)
+    cfg = SolverConfig(step_size=1e5, reg_kind=kind, reg_weight=weight, n_b=2)
+    state = solver._initial_state(series.grid)
+    for _ in range(2):
+        solver._outer_iteration(state, series, cfg, PARAMS,
+                                TransferFunction.identity(series.grid), None)
+    assert state.tv_dual is None
+
+
+def test_prox_tv_and_the_solver_config_share_the_inner_iteration_default():
+    default = inspect.signature(prox_tv).parameters["inner_iters"].default
+    assert SolverConfig().tv_inner_iters == default == solver.TV_INNER_ITERS == 5
 
 
 def test_step_bracket_raises_when_every_candidate_diverges():
