@@ -3,7 +3,10 @@
 Commands: phantom | simulate | reconstruct | trace | evaluate | sweep.
 Every command takes --config (JSON), with CLI flags overriding file
 values, and writes the full effective configuration into a manifest next
-to its outputs so any run is reproducible from the manifest alone.
+to its outputs so any run is reproducible from the manifest alone. Only
+phantom and simulate take --seed. A config file holds one JSON object,
+and each value must be of its key's kind (see _load_config); any other
+config exits 2 before an output directory is made.
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical failure.
 """
@@ -45,7 +48,8 @@ from .tracing import (
     trace_atoms,
     write_traced_csv,
 )
-from .volume import interaction_parameter, read_volume, write_volume
+from .volume import (PotentialVolume, check_kind, interaction_parameter, read_manifest,
+                     read_volume, write_volume)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -86,30 +90,19 @@ SIMULATE_DEFAULTS = {
     "seed": 0,
 }
 
+# the SolverConfig fields a reconstruct config sets
+SOLVER_KEYS = ("step_size", "reg_kind", "reg_weight", "n_b", "max_iter", "tv_inner_iters",
+               "anti_alias")
 _SOLVER = SolverConfig()  # the solver's own defaults; n_b keeps the CLI's 10
 RECONSTRUCT_DEFAULTS = {
     "series_dir": None,
-    "step_size": _SOLVER.step_size,
-    "reg_kind": _SOLVER.reg_kind,
-    "reg_weight": _SOLVER.reg_weight,
+    **{key: getattr(_SOLVER, key) for key in SOLVER_KEYS},
     "n_b": 10,
-    "max_iter": _SOLVER.max_iter,
-    "tv_inner_iters": _SOLVER.tv_inner_iters,
-    "anti_alias": _SOLVER.anti_alias,
     "aperture_qmax": None,
-    "seed": 0,
 }
 
-TRACE_DEFAULTS = {
-    "volume": None,
-    "intensity_floor_volts": 30.0,
-    "width_floor_voxels": 1.0,
-    "merge_radius_voxels": 2.25,
-    "max_refine_iters": 12,
-    "fit_window": 7,
-    "classify": True,
-    "seed": 0,
-}
+_TRACE = TraceParams()
+TRACE_DEFAULTS = {"volume": None, **vars(_TRACE), "classify": True}
 
 EVALUATE_DEFAULTS = {
     "traced": None,
@@ -118,38 +111,53 @@ EVALUATE_DEFAULTS = {
     "pitch": 0.5,
     "match_radius": 1.0,
     "matching": "greedy",
-    "slice_axis": "z",
-    "seed": 0,
 }
 
 SWEEP_DEFAULTS = dict(RECONSTRUCT_DEFAULTS, reg_weights=[0.0])
 del SWEEP_DEFAULTS["reg_weight"]
 
+# The kinds (see volume.KINDS) of the config keys whose default does not
+# show it: a null default, or a number that may also be "infinite". Every
+# other key takes the kind of its default.
+KEY_KINDS = {
+    "radius": "number", "aperture_qmax": "number", "step_size": "number",
+    "total_dose": "number or infinite", "phantom_dir": "string", "volume": "string",
+    "series_dir": "string", "traced": "string", "truth": "string",
+}
+_DEFAULT_KINDS = {bool: "boolean", int: "integer", float: "number", str: "string",
+                  list: "numbers"}
+
 
 def _load_config(defaults: dict, config_path: str | None, overrides: dict) -> dict:
+    """``defaults`` updated by the file's values, then by the CLI flags in
+    ``overrides`` that are set. A file value must be of its key's kind,
+    the one in KEY_KINDS or else that of its default, and not null where
+    the default is not; a number given as a JSON integer becomes a float."""
     cfg = dict(defaults)
     if config_path:
         try:
-            file_cfg = json.loads(Path(config_path).read_text())
+            file_cfg = read_manifest(Path(config_path), {})
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, value in file_cfg.items():
-            if defaults[key] is not None and (
+            default = defaults[key]
+            if default is not None and (
                 value is None or isinstance(value, list) and None in value
             ):
                 raise ConfigError(f"config key {key!r} must not be null, got {value!r}")
-            if isinstance(defaults[key], list) != isinstance(value, list):
-                kind = "a JSON array" if isinstance(defaults[key], list) else "a single value"
+            if isinstance(default, list) != isinstance(value, list):
+                kind = "a JSON array" if isinstance(default, list) else "a single value"
                 raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
-        cfg.update(file_cfg)
-    for key, value in overrides.items():
-        if value is not None:
-            if key not in defaults:
-                raise ConfigError(f"unknown option {key}")
+            if value is not None:
+                kind = KEY_KINDS.get(key) or _DEFAULT_KINDS[type(default)]
+                check_kind(value, kind, f"config key {key!r}")
+                if kind == "number":
+                    value = float(value)
             cfg[key] = value
+    cfg.update((key, value) for key, value in overrides.items() if value is not None)
     return cfg
 
 
@@ -157,7 +165,7 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict, extra: dict | None =
     payload = {"command": command, "config": cfg}
     if extra:
         payload.update(extra)
-    (out_dir / "run_manifest.json").write_text(json.dumps(payload, indent=2, default=str) + "\n")
+    (out_dir / "run_manifest.json").write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def _out_dir(cfg_out: str) -> Path:
@@ -174,28 +182,28 @@ def cmd_phantom(args) -> int:
     cfg = _load_config(PHANTOM_DEFAULTS, args.config, {"seed": args.seed})
     out = _out_dir(args.out)
     g = make_crystal(
-        extent=int(cfg["extent"]),
-        pitch=float(cfg["pitch"]),
-        lattice_const=float(cfg["lattice_const"]),
+        extent=cfg["extent"],
+        pitch=cfg["pitch"],
+        lattice_const=cfg["lattice_const"],
         species_pattern=cfg["species_pattern"],
-        seed=int(cfg["seed"]),
+        seed=cfg["seed"],
         shape=cfg["shape"],
-        radius=None if cfg["radius"] is None else float(cfg["radius"]),
-        margin_voxels=float(cfg["margin_voxels"]),
-        width=float(cfg["width"]),
-        d_min=float(cfg["d_min"]),
+        radius=cfg["radius"],
+        margin_voxels=cfg["margin_voxels"],
+        width=cfg["width"],
+        d_min=cfg["d_min"],
     )
     if cfg["shell_thickness"]:
         g = add_amorphous_shell(
             g,
-            thickness=float(cfg["shell_thickness"]),
-            bond_length=float(cfg["bond_length"]),
-            seed=int(cfg["seed"]) + 1,
-            d_min=float(cfg["d_min"]),
-            width=float(cfg["width"]),
+            thickness=cfg["shell_thickness"],
+            bond_length=cfg["bond_length"],
+            seed=cfg["seed"] + 1,
+            d_min=cfg["d_min"],
+            width=cfg["width"],
         )
     if cfg["vacancy_fraction"]:
-        g = inject_vacancies(g, float(cfg["vacancy_fraction"]), seed=int(cfg["seed"]) + 2)
+        g = inject_vacancies(g, cfg["vacancy_fraction"], seed=cfg["seed"] + 2)
     write_ground_truth(g, out)
     _write_manifest(out, "phantom", cfg, {"n_atoms": len(g.atoms)})
     print(f"phantom: {len(g.atoms)} atoms -> {out}")
@@ -212,83 +220,63 @@ def cmd_simulate(args) -> int:
     else:
         raise ConfigError("simulate needs 'volume' or 'phantom_dir'")
     v = read_volume(volume_path)
-    params = interaction_parameter(float(cfg["accel_voltage_kv"]))
-    angles = uniform_tilt_angles(int(cfg["n_tilts"]), float(cfg["tilt_span_deg"]))
+    params = interaction_parameter(cfg["accel_voltage_kv"])
+    angles = uniform_tilt_angles(cfg["n_tilts"], cfg["tilt_span_deg"])
     dose = cfg["total_dose"]
     plan = AcquisitionPlan(
         tilt_angles=tuple(angles),
-        defoci=tuple(float(d) for d in cfg["defoci"]),
-        total_dose=math.inf if dose == "infinite" else float(dose),
-        seed=int(cfg["seed"]),
+        defoci=tuple(cfg["defoci"]),
+        total_dose=math.inf if dose == "infinite" else dose,
+        seed=cfg["seed"],
     )
     grid = GridSpec(v.nx, v.ny, v.pitch, params.wavelength)
     h = TransferFunction.identity(grid, cfg["aperture_qmax"])
-    series = simulate_tilt_series(v, plan, params, int(cfg["n_b"]), h,
-                                  bool(cfg["anti_alias"]))
+    series = simulate_tilt_series(v, plan, params, cfg["n_b"], h, cfg["anti_alias"])
     write_tilt_series(series, out)
     _write_manifest(out, "simulate", cfg, {"volume_path": str(volume_path)})
     print(f"simulate: {plan.n_tilts} tilts x {plan.n_defoci} defoci -> {out}")
     return EXIT_OK
 
 
-def _reconstruct_once(series: TiltSeries, cfg: dict, out: Path, reg_weight: float,
-                      tag: str = "") -> None:
+def _reconstruct_once(series: TiltSeries, cfg: dict, out: Path, tag: str = "") -> None:
     h = TransferFunction.identity(series.grid, cfg["aperture_qmax"])
-    solver_cfg = SolverConfig(
-        step_size=None if cfg["step_size"] is None else float(cfg["step_size"]),
-        reg_kind=cfg["reg_kind"],
-        reg_weight=reg_weight,
-        n_b=int(cfg["n_b"]),
-        max_iter=int(cfg["max_iter"]),
-        tv_inner_iters=int(cfg["tv_inner_iters"]),
-        anti_alias=bool(cfg["anti_alias"]),
-    )
+    solver_cfg = SolverConfig(**{key: cfg[key] for key in SOLVER_KEYS})
     volume, history = reconstruct(series, solver_cfg, h=h)
     write_volume(volume, out / f"reconstruction{tag}.raw")
     write_cost_history(history, out / f"cost{tag}.csv")
 
 
 def cmd_reconstruct(args) -> int:
-    cfg = _load_config(RECONSTRUCT_DEFAULTS, args.config,
-                       {"series_dir": args.series, "seed": args.seed})
+    cfg = _load_config(RECONSTRUCT_DEFAULTS, args.config, {"series_dir": args.series})
     if not cfg["series_dir"]:
         raise ConfigError("reconstruct needs 'series_dir'")
     out = _out_dir(args.out)
-    _reconstruct_once(read_tilt_series(cfg["series_dir"]), cfg, out, float(cfg["reg_weight"]))
+    _reconstruct_once(read_tilt_series(cfg["series_dir"]), cfg, out)
     _write_manifest(out, "reconstruct", cfg)
     print(f"reconstruct: wrote {out / 'reconstruction.raw'}")
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(SWEEP_DEFAULTS, args.config,
-                       {"series_dir": args.series, "seed": args.seed})
+    cfg = _load_config(SWEEP_DEFAULTS, args.config, {"series_dir": args.series})
     if not cfg["series_dir"]:
         raise ConfigError("sweep needs 'series_dir'")
     out = _out_dir(args.out)
     series = read_tilt_series(cfg["series_dir"])
     for weight in cfg["reg_weights"]:
-        tag = f"_w{float(weight):g}"
-        _reconstruct_once(series, cfg, out, float(weight), tag)
+        _reconstruct_once(series, dict(cfg, reg_weight=weight), out, f"_w{weight:g}")
     _write_manifest(out, "sweep", cfg)
     print(f"sweep: {len(cfg['reg_weights'])} reconstructions -> {out}")
     return EXIT_OK
 
 
 def cmd_trace(args) -> int:
-    cfg = _load_config(TRACE_DEFAULTS, args.config, {"volume": args.volume, "seed": args.seed})
+    cfg = _load_config(TRACE_DEFAULTS, args.config, {"volume": args.volume})
     if not cfg["volume"]:
         raise ConfigError("trace needs 'volume'")
     out = _out_dir(args.out)
     v = read_volume(cfg["volume"])
-    params = TraceParams(
-        intensity_floor_volts=float(cfg["intensity_floor_volts"]),
-        width_floor_voxels=float(cfg["width_floor_voxels"]),
-        merge_radius_voxels=float(cfg["merge_radius_voxels"]),
-        max_refine_iters=int(cfg["max_refine_iters"]),
-        fit_window=int(cfg["fit_window"]),
-    )
-    traced = trace_atoms(v, params)
+    traced = trace_atoms(v, TraceParams(**{key: cfg[key] for key in vars(_TRACE)}))
     if cfg["classify"] and len(traced):
         traced = classify_species(traced)
     write_traced_csv(traced, out / "traced.csv")
@@ -297,9 +285,8 @@ def cmd_trace(args) -> int:
     return EXIT_OK
 
 
-def _write_pgm_slices(volume_path: str, out: Path, pitch: float) -> None:
+def _write_pgm_slices(v: PotentialVolume, out: Path) -> None:
     # sqrt display scaling over 0..80 V, one mid-volume slice per axis
-    v = read_volume(volume_path)
     volts = np.maximum(np.real(v.values), 0.0) / v.pitch
     scaled = np.sqrt(np.clip(volts, 0.0, 80.0) / 80.0)
     img8 = (scaled * 255.0 + 0.5).astype(np.uint8)
@@ -313,17 +300,15 @@ def _write_pgm_slices(volume_path: str, out: Path, pitch: float) -> None:
 def cmd_evaluate(args) -> int:
     cfg = _load_config(EVALUATE_DEFAULTS, args.config, {
         "traced": args.traced, "truth": args.truth, "volume": args.volume,
-        "seed": args.seed,
     })
     if not cfg["traced"] or not cfg["truth"]:
         raise ConfigError("evaluate needs 'traced' and 'truth'")
     out = _out_dir(args.out)
-    pitch = float(cfg["pitch"])
-    if cfg["volume"]:
-        pitch = read_volume(cfg["volume"]).pitch
+    volume = read_volume(cfg["volume"]) if cfg["volume"] else None
+    pitch = cfg["pitch"] if volume is None else volume.pitch
     traced = read_sites_csv(cfg["traced"], pitch)
     truth = read_atoms_csv(cfg["truth"])
-    report = score(traced, truth, float(cfg["match_radius"]), cfg["matching"])
+    report = score(traced, truth, cfg["match_radius"], cfg["matching"])
     (out / "report.json").write_text(report.to_json())
 
     with (out / "intensity_histogram.csv").open("w", newline="") as fh:
@@ -332,15 +317,14 @@ def cmd_evaluate(args) -> int:
         for value in traced.intensity:
             writer.writerow([repr(float(value))])
     traced_xyz = traced.positions_angstrom()
-    pairs = _match_pairs(traced_xyz, truth.positions, float(cfg["match_radius"]),
-                         cfg["matching"])
+    pairs = _match_pairs(traced_xyz, truth.positions, cfg["match_radius"], cfg["matching"])
     with (out / "position_error_histogram.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["position_error_A"])
         for _, _, d in pairs:
             writer.writerow([repr(float(d))])
-    if cfg["volume"]:
-        _write_pgm_slices(cfg["volume"], out, pitch)
+    if volume is not None:
+        _write_pgm_slices(volume, out)
     _write_manifest(out, "evaluate", cfg)
     print(f"evaluate: found {report.atoms_found_pct:.2f}% "
           f"(error {report.position_error_mean_pm:.1f} pm) -> {out}")
@@ -360,15 +344,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed override")
         p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("phantom", help="generate a synthetic ground truth")
     common(p)
+    p.add_argument("--seed", type=int, help="RNG seed override")
     p.set_defaults(func=cmd_phantom)
 
     p = sub.add_parser("simulate", help="simulate a defocused tilt series")
     common(p)
+    p.add_argument("--seed", type=int, help="RNG seed override")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("reconstruct", help="reconstruct a potential volume")

@@ -70,6 +70,7 @@ class AcquisitionPlan:
     def __post_init__(self):
         object.__setattr__(self, "tilt_angles", tuple(float(t) for t in self.tilt_angles))
         object.__setattr__(self, "defoci", tuple(float(d) for d in self.defoci))
+        object.__setattr__(self, "total_dose", float(self.total_dose))
         if len(self.tilt_angles) == 0 or len(self.defoci) == 0:
             raise ValueError("plan needs at least one tilt and one defocus")
         if np.any(np.diff(self.tilt_angles) <= 0):
@@ -313,22 +314,22 @@ def read_tilt_series(in_dir: str | Path) -> TiltSeries:
     """Read a series directory, validating image count and sizes."""
     in_dir = Path(in_dir)
     manifest = read_manifest(in_dir / "manifest.json", {
-        "nx": "number", "ny": "number", "pitch_angstrom": "number",
+        "nx": "integer", "ny": "integer", "pitch_angstrom": "number",
         "lambda_angstrom": "number", "tilt_angles_deg": "numbers",
         "defoci_angstrom": "numbers", "total_dose_e_per_A2": "number or infinite",
-        "seed": "number"})
+        "seed": "integer"})
     if manifest.get("rng_algorithm") != RNG_ALGORITHM:
         raise ValueError(f"unsupported rng algorithm {manifest.get('rng_algorithm')!r}")
     dose = manifest["total_dose_e_per_A2"]
     plan = AcquisitionPlan(
         tilt_angles=tuple(manifest["tilt_angles_deg"]),
         defoci=tuple(manifest["defoci_angstrom"]),
-        total_dose=math.inf if dose == "infinite" else float(dose),
-        seed=int(manifest["seed"]),
+        total_dose=math.inf if dose == "infinite" else dose,
+        seed=manifest["seed"],
     )
     grid = GridSpec(
-        nx=int(manifest["nx"]),
-        ny=int(manifest["ny"]),
+        nx=manifest["nx"],
+        ny=manifest["ny"],
         pitch=float(manifest["pitch_angstrom"]),
         wavelength=float(manifest["lambda_angstrom"]),
     )

@@ -286,7 +286,6 @@ def _sweep(
     cfg: SolverConfig,
     params: InteractionParams,
     h: TransferFunction,
-    tilt_order: np.ndarray | None = None,
     stop_above: float = math.inf,
 ) -> float:
     """One pass over all tilts; returns the accumulated amplitude cost.
@@ -295,9 +294,7 @@ def _sweep(
     place, so later tilts see the earlier updates. Once the running cost
     is strictly above ``stop_above`` the sweep returns it at once, before
     that tilt's residual and update: every per-tilt term is a sum of
-    squares, so the full cost could only be larger. ``tilt_order``
-    permutes the sweep order (diagnostics only; the final result is
-    empirically insensitive to it).
+    squares, so the full cost could only be larger.
     """
     plan = series.plan
     pitch = series.grid.pitch
@@ -305,9 +302,7 @@ def _sweep(
     measured_amplitude = np.sqrt(series.normalized())
     nz = u.shape[0]
     cost = 0.0
-    order = range(plan.n_tilts) if tilt_order is None else tilt_order
-    for i in order:
-        theta = plan.tilt_angles[i]
+    for i, theta in enumerate(plan.tilt_angles):
         if not np.all(np.isfinite(u)):
             raise DivergenceError("step size too large")
         vol = PotentialVolume(u, pitch)
@@ -338,7 +333,7 @@ def _initial_state(grid: GridSpec) -> SolverState:
 
 def _outer_iteration(state: SolverState, series: TiltSeries, cfg: SolverConfig,
                      params: InteractionParams, h: TransferFunction,
-                     tilt_order: np.ndarray | None, stop_above: float = math.inf) -> None:
+                     stop_above: float = math.inf) -> None:
     """Advance ``state`` in place by one sweep at eta = ``cfg.step_size``,
     the prox and the Nesterov extrapolation, recording the sweep's cost.
     A TV prox starts from the previous iteration's final dual and leaves
@@ -349,7 +344,7 @@ def _outer_iteration(state: SolverState, series: TiltSeries, cfg: SolverConfig,
     """
     # overflow inside a diverging iterate is caught by the finiteness guards
     with np.errstate(over="ignore", invalid="ignore"):
-        cost = _sweep(state.u.values, series, cfg, params, h, tilt_order, stop_above)
+        cost = _sweep(state.u.values, series, cfg, params, h, stop_above)
         state.cost_history.append(cost)
         if not np.isfinite(cost) or cost > DIVERGENCE_FACTOR * state.cost_history[0]:
             raise DivergenceError("step size too large")
@@ -371,13 +366,11 @@ def bracket_step_size(
     cfg: SolverConfig,
     params: InteractionParams,
     h: TransferFunction,
-    tilt_order: np.ndarray | None = None,
 ) -> tuple[float, SolverState]:
     """Pick the bracket candidate whose iteration-1 sweep costs least.
 
     Each candidate runs iteration 1 exactly as :func:`reconstruct` does,
-    ``tilt_order`` included, and is scored by the cost of that sweep, its
-    ``cost_history[0]``. Candidates are tried from the largest step down,
+    and is scored by the cost of that sweep, its ``cost_history[0]``. Candidates are tried from the largest step down,
     and the search stops at the first score strictly above the best so
     far; ties go to the smaller step. A candidate's sweep is itself cut
     short, with no prox, once its running cost passes the best: the cost
@@ -400,8 +393,7 @@ def bracket_step_size(
         trial = replace(cfg, step_size=float(eta))
         state = _initial_state(series.grid)
         try:
-            _outer_iteration(state, series, trial, params, h, tilt_order,
-                             stop_above=best_cost)
+            _outer_iteration(state, series, trial, params, h, stop_above=best_cost)
         except (DivergenceError, NonFiniteError):
             continue
         cost = state.cost_history[0]
@@ -418,7 +410,6 @@ def reconstruct(
     cfg: SolverConfig,
     params: InteractionParams | None = None,
     h: TransferFunction | None = None,
-    tilt_order: np.ndarray | None = None,
 ) -> tuple[PotentialVolume, list[float]]:
     """Run the full reconstruction; returns the volume and cost history.
 
@@ -427,7 +418,6 @@ def reconstruct(
     per outer iteration is the amplitude cost accumulated during that
     sweep (predicted intensities from the then-current iterate). With no
     ``cfg.step_size`` the loop continues from the bracket winner's state.
-    ``tilt_order`` permutes every sweep, the bracket's included.
     """
     grid = series.grid
     if params is None:
@@ -446,11 +436,11 @@ def reconstruct(
             stacklevel=2,
         )
     if cfg.step_size is None:
-        cfg.step_size, state = bracket_step_size(series, cfg, params, h, tilt_order)
+        cfg.step_size, state = bracket_step_size(series, cfg, params, h)
     else:
         state = _initial_state(grid)
     while state.k < cfg.max_iter:
-        _outer_iteration(state, series, cfg, params, h, tilt_order)
+        _outer_iteration(state, series, cfg, params, h)
     return state.v_curr, state.cost_history
 
 

@@ -27,23 +27,23 @@ from .phantom import ATOMS_CSV_HEADER, AtomList, read_csv_rows
 from .volume import PotentialVolume
 
 DETECTION_BORDER = 2  # voxels excluded from candidate detection
+DOG_SIGMA_SMALL = 0.5      # voxels
+DOG_SIGMA_LARGE = 1.0      # voxels
+WIDTH_MAX_VOXELS = 3.0     # wider fits read as background, not atoms
+MIN_REMOVED_STOP = 2
+RMS_STOP_VOXELS = 0.005
+CANDIDATE_MIN_RATIO = 0.5  # raw-value gate, fraction of the intensity floor
 
 
 @dataclass
 class TraceParams:
     """Thresholds of the refinement loop (defaults: standard values)."""
 
-    dog_sigma_small: float = 0.5       # voxels
-    dog_sigma_large: float = 1.0       # voxels
     intensity_floor_volts: float = 30.0
     width_floor_voxels: float = 1.0
-    width_max_voxels: float = 3.0      # wider fits read as background, not atoms
     merge_radius_voxels: float = 2.25
     max_refine_iters: int = 12
-    min_removed_stop: int = 2
-    rms_stop_voxels: float = 0.005
     fit_window: int = 7                # odd edge of the cubic fit patch, voxels
-    candidate_min_ratio: float = 0.5   # raw-value gate, fraction of the floor
 
     def __post_init__(self):
         _check_fit_window(self.fit_window, "fit_window")
@@ -147,8 +147,8 @@ def dog_kernel(shape: tuple[int, int, int], sigma_small: float = 0.5,
             - _wrapped_gaussian_kernel(shape, sigma_large))
 
 
-def dog_filter(v: PotentialVolume, sigma_small: float = 0.5,
-               sigma_large: float = 1.0) -> PotentialVolume:
+def dog_filter(v: PotentialVolume, sigma_small: float = DOG_SIGMA_SMALL,
+               sigma_large: float = DOG_SIGMA_LARGE) -> PotentialVolume:
     """Convolve with the zero-sum DoG kernel (Fourier product, periodic).
 
     Wrap artifacts are confined to the border excluded by candidate
@@ -355,8 +355,8 @@ def trace_atoms(v: PotentialVolume, params: TraceParams | None = None) -> Traced
     ``own`` being the site rendered on that box alone: the same floats as
     a full-volume subtraction, since rendering uses absolute coordinates.
 
-    Stops when fewer than ``min_removed_stop`` sites were removed in a
-    round and the RMS position change is below ``rms_stop_voxels``, or
+    Stops when fewer than ``MIN_REMOVED_STOP`` sites were removed in a
+    round and the RMS position change is below ``RMS_STOP_VOXELS``, or
     after ``max_refine_iters`` rounds. An empty volume yields an empty
     result rather than an error.
     """
@@ -369,7 +369,7 @@ def trace_atoms(v: PotentialVolume, params: TraceParams | None = None) -> Traced
 
     def fit_ok(f: FitResult) -> bool:
         return (f.converged and f.intensity >= floor
-                and width_floor <= f.width <= params.width_max_voxels)
+                and width_floor <= f.width <= WIDTH_MAX_VOXELS)
 
     # Detection fits by (site, window bytes). Away from the fitted peaks a
     # residual volume equals the input bit for bit, so each round re-detects
@@ -378,15 +378,14 @@ def trace_atoms(v: PotentialVolume, params: TraceParams | None = None) -> Traced
     detection_fits: dict[tuple, FitResult] = {}
 
     def detect_and_fit(source: np.ndarray, existing: list[FitResult]) -> list[FitResult]:
-        filtered = dog_filter(PotentialVolume(source, v.pitch),
-                              params.dog_sigma_small, params.dog_sigma_large)
+        filtered = dog_filter(PotentialVolume(source, v.pitch))
         cands = find_candidates(filtered)
         results = []
         existing_pos = np.array([f.position for f in existing]) if existing else None
         for site in cands:
             if np.any(site < margin) or np.any(site + margin >= shape):
                 continue
-            if source[tuple(site)] < params.candidate_min_ratio * floor:
+            if source[tuple(site)] < CANDIDATE_MIN_RATIO * floor:
                 continue
             if existing_pos is not None and len(existing_pos):
                 d = np.sqrt(np.sum((existing_pos - site) ** 2, axis=1))
@@ -396,7 +395,7 @@ def trace_atoms(v: PotentialVolume, params: TraceParams | None = None) -> Traced
             fit = detection_fits.get(key)
             if fit is None:
                 fit = detection_fits[key] = fit_gaussian_3d(
-                    source, site, params.fit_window, width_max=params.width_max_voxels)
+                    source, site, params.fit_window, width_max=WIDTH_MAX_VOXELS)
             if fit_ok(fit):
                 results.append(fit)
         return results
@@ -417,7 +416,7 @@ def trace_atoms(v: PotentialVolume, params: TraceParams | None = None) -> Traced
             own = _render_sites((params.fit_window,) * 3, [f], lo)
             patch = values[box] - (model[box] - own)
             guess = np.array([f.intensity, *(f.position - lo), f.width, f.background])
-            new = _fit_patch(patch, lo, guess, width_max=params.width_max_voxels)
+            new = _fit_patch(patch, lo, guess, width_max=WIDTH_MAX_VOXELS)
             if fit_ok(new):
                 moves.append(float(np.linalg.norm(new.position - f.position)))
                 refined.append(new)
@@ -435,7 +434,7 @@ def trace_atoms(v: PotentialVolume, params: TraceParams | None = None) -> Traced
         sites.sort(key=_site_sort_key)
 
         rms_move = float(np.sqrt(np.mean(np.square(moves)))) if moves else 0.0
-        if removed < params.min_removed_stop and rms_move < params.rms_stop_voxels:
+        if removed < MIN_REMOVED_STOP and rms_move < RMS_STOP_VOXELS:
             break
 
     if not sites:

@@ -416,9 +416,12 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-# The kinds of manifest field ``read_manifest`` checks: test, description.
-MANIFEST_KINDS = {
+# The kinds of value in manifests, sidecars and CLI configs: test, description.
+KINDS = {
     "number": (_is_number, "a number"),
+    "integer": (lambda v: _is_number(v) and isinstance(v, int), "an integer"),
+    "boolean": (lambda v: isinstance(v, bool), "true or false"),
+    "string": (lambda v: isinstance(v, str), "a string"),
     "numbers": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
                 "an array of numbers"),
     "number or infinite": (lambda v: v == "infinite" or _is_number(v),
@@ -426,9 +429,20 @@ MANIFEST_KINDS = {
 }
 
 
+def check_kind(value, kind: str, name: str) -> None:
+    """Raise ``ValueError("<name> must be <description>, got <value>")``
+    unless ``value`` is of ``kind`` in :data:`KINDS`; a non-number given
+    for an integer must be a number, a fractional one an integer."""
+    if kind == "integer" and not _is_number(value):
+        kind = "number"
+    is_kind, description = KINDS[kind]
+    if not is_kind(value):
+        raise ValueError(f"{name} must be {description}, got {json.dumps(value)}")
+
+
 def read_manifest(path: Path, kinds: dict[str, str]) -> dict:
     """The JSON object in ``path``. A missing key of ``kinds``, or a value
-    not of its kind in :data:`MANIFEST_KINDS` (``null`` included), is a
+    not of its kind (``null`` included, see :func:`check_kind`), is a
     ``ValueError`` naming the file and the key."""
     meta = json.loads(path.read_text())
     if not isinstance(meta, dict):
@@ -437,19 +451,16 @@ def read_manifest(path: Path, kinds: dict[str, str]) -> dict:
     if missing:
         raise ValueError(f"{path}: missing key {', '.join(missing)}")
     for key, kind in kinds.items():
-        is_kind, description = MANIFEST_KINDS[kind]
-        if not is_kind(meta[key]):
-            raise ValueError(f"{path}: {key} must be {description}, "
-                             f"got {json.dumps(meta[key])}")
+        check_kind(meta[key], kind, f"{path}: {key}")
     return meta
 
 
 def read_volume(raw_path: str | Path) -> PotentialVolume:
     """Read a raw+JSON volume, validating the byte count."""
     raw_path = Path(raw_path)
-    meta = read_manifest(volume_sidecar_path(raw_path),
-                         dict.fromkeys(("nx", "ny", "nz", "pitch_angstrom"), "number"))
-    nx, ny, nz = int(meta["nx"]), int(meta["ny"]), int(meta["nz"])
+    meta = read_manifest(volume_sidecar_path(raw_path), {
+        "nx": "integer", "ny": "integer", "nz": "integer", "pitch_angstrom": "number"})
+    nx, ny, nz = meta["nx"], meta["ny"], meta["nz"]
     blob = raw_path.read_bytes()
     expected = 4 * nx * ny * nz
     if len(blob) != expected:

@@ -77,6 +77,21 @@ def test_unknown_config_key_rejected(tmp_path):
     assert main(["phantom", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("payload, message", [
+    ([], "trace.json: expected a JSON object"),
+    ({"classify": "no"}, '''config key 'classify' must be true or false, got "no"'''),
+], ids=["not-an-object", "classify-no"])
+def test_trace_rejects_a_config_not_an_object_or_a_non_boolean_classify(
+        phantom_dir, tmp_path, capsys, payload, message):
+    # [] used to end in an AttributeError traceback; "no" classified anyway
+    cfg = _write_config(tmp_path, "trace.json", payload)
+    out = tmp_path / "trace"
+    assert main(["trace", "--config", cfg, "--volume", str(phantom_dir / "volume.raw"),
+                 "--out", str(out)]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_and_manifest(phantom_dir, tmp_path):
     cfg = _write_config(tmp_path, "sim.json", {
         "phantom_dir": str(phantom_dir),
@@ -362,10 +377,14 @@ def test_a_key_error_from_a_program_bug_propagates(tmp_path, monkeypatch):
 @pytest.mark.parametrize("key, value, kind", [
     ("defoci", 250.0, "a JSON array"),
     ("n_tilts", [4], "a single value"),
+    ("n_tilts", 4.7, "an integer"),
+    ("n_tilts", True, "a number"),
+    ("anti_alias", "no", "true or false"),
 ])
 def test_simulate_rejects_a_config_value_of_the_wrong_kind(phantom_dir, tmp_path, capsys,
                                                            key, value, kind):
-    # these used to end in an uncaught TypeError
+    # an array or a single value used to end in an uncaught TypeError;
+    # 4.7 and true ran 4 tilts and 1 tilt, and "no" anti-aliased, exit 0
     cfg = _write_config(tmp_path, "sim_kind.json", {
         "phantom_dir": str(phantom_dir), "n_tilts": 4, "defoci": [250.0],
         "total_dose": "infinite", "n_b": 4, key: value,
@@ -412,15 +431,18 @@ def test_a_null_is_accepted_where_the_default_is_null(phantom_dir, tmp_path):
                  "--out", str(tmp_path / "recstepnull")]) == 0
 
 
-@pytest.mark.parametrize("value", [None, "48", True])
-def test_trace_on_a_sidecar_with_a_non_numeric_dimension_exits_2(tmp_path, capsys, value):
+@pytest.mark.parametrize("value, kind", [
+    (None, "a number"), ("48", "a number"), (True, "a number"), (47.5, "an integer"),
+], ids=["None", "48", "True", "47.5"])
+def test_trace_on_a_sidecar_with_a_non_numeric_dimension_exits_2(tmp_path, capsys, value,
+                                                                 kind):
     write_volume(PotentialVolume(np.zeros((12, 12, 12)), 0.5), tmp_path / "v.raw")
     meta = json.loads((tmp_path / "v.json").read_text())
     meta["nz"] = value
     (tmp_path / "v.json").write_text(json.dumps(meta))
     assert main(["trace", "--volume", str(tmp_path / "v.raw"),
                  "--out", str(tmp_path / "trace")]) == cli.EXIT_CONFIG
-    assert f"v.json: nz must be a number, got {json.dumps(value)}" in capsys.readouterr().err
+    assert f"v.json: nz must be {kind}, got {json.dumps(value)}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -429,6 +451,7 @@ def test_trace_on_a_sidecar_with_a_non_numeric_dimension_exits_2(tmp_path, capsy
     ("tilt_angles_deg", [0.0, None], "tilt_angles_deg must be an array of numbers"),
     ("defoci_angstrom", 250.0, "defoci_angstrom must be an array of numbers"),
     ("total_dose_e_per_A2", None, 'total_dose_e_per_A2 must be a number or "infinite"'),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
 ])
 def test_series_manifest_with_a_non_numeric_field_exits_2_and_names_it(
         phantom_dir, tmp_path, capsys, key, value, message):

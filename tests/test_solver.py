@@ -319,16 +319,6 @@ def test_reconstruct_divergence_guard():
         reconstruct(series, cfg, PARAMS)
 
 
-def test_reconstruct_tilt_order_insensitive_final_cost():
-    v = _blob_volume(seed=6)
-    series = _series(v, n_tilts=6, dose=1e5, seed=7)
-    cfg = SolverConfig(step_size=1e5, reg_kind="positivity", n_b=2, max_iter=6)
-    _, hist_fwd = reconstruct(series, cfg, PARAMS)
-    order = np.array([3, 0, 5, 1, 4, 2])
-    _, hist_perm = reconstruct(series, cfg, PARAMS, tilt_order=order)
-    assert hist_perm[-1] == pytest.approx(hist_fwd[-1], rel=0.05)
-
-
 def test_reconstruct_step_bracket_picks_reasonable_step():
     v = _blob_volume(seed=8)
     series = _series(v, n_tilts=4)
@@ -448,7 +438,7 @@ def test_outer_iteration_hands_each_tv_dual_to_the_next(monkeypatch):
     entries, exits = _record_tv_duals(monkeypatch)
     state = solver._initial_state(series.grid)
     for _ in range(3):
-        solver._outer_iteration(state, series, cfg, PARAMS, h, None)
+        solver._outer_iteration(state, series, cfg, PARAMS, h)
     assert len(entries) == 3
     assert not np.any(entries[0])  # the run's first prox starts cold
     for k in range(2):
@@ -479,7 +469,7 @@ def test_runs_without_a_tv_threshold_allocate_no_dual(kind, weight, dose):
     state = solver._initial_state(series.grid)
     for _ in range(2):
         solver._outer_iteration(state, series, cfg, PARAMS,
-                                TransferFunction.identity(series.grid), None)
+                                TransferFunction.identity(series.grid))
     assert state.tv_dual is None
 
 
@@ -518,7 +508,7 @@ def _exhaustive_bracket(series, cfg, h):
     for eta in cfg.step_bracket:
         trial = replace(cfg, step_size=float(eta))
         state = solver._initial_state(series.grid)
-        solver._outer_iteration(state, series, trial, PARAMS, h, None)
+        solver._outer_iteration(state, series, trial, PARAMS, h)
         if state.cost_history[0] < best_cost:
             best_cost, best = state.cost_history[0], (trial.step_size, state)
     return best
@@ -551,7 +541,7 @@ def _forward_only_bracket(series, cfg, h):
         trial = replace(cfg, step_size=float(eta))
         state = solver._initial_state(series.grid)
         try:
-            solver._outer_iteration(state, series, trial, PARAMS, h, None)
+            solver._outer_iteration(state, series, trial, PARAMS, h)
             with np.errstate(over="ignore", invalid="ignore"):
                 cost = _forward_only_cost(state.v_curr.values, series, trial, h)
         except (DivergenceError, solver.NonFiniteError):
@@ -602,17 +592,23 @@ def test_step_bracket_stops_once_the_cost_rises(monkeypatch, step_bracket, n_tri
     assert state.cost_history == expected.cost_history
 
 
+def _first_tilts(series, k):
+    plan = AcquisitionPlan(series.plan.tilt_angles[:k], series.plan.defoci)
+    return TiltSeries(plan, series.grid, series.normalized()[:k])
+
+
 def test_losing_sweep_stops_at_the_first_tilt_above_the_best(monkeypatch):
     series = _series(_blob_volume(seed=14), n_tilts=8, dose=5e4, seed=15)
     h = TransferFunction.identity(series.grid)
     cfg = SolverConfig(step_size=1e4, reg_kind="tv", reg_weight=1e-2, n_b=2)
     winner = solver._initial_state(series.grid)
-    solver._outer_iteration(winner, series, replace(cfg, step_size=1e5), PARAMS, h, None)
+    solver._outer_iteration(winner, series, replace(cfg, step_size=1e5), PARAMS, h)
     best = winner.cost_history[0]
-    # a sweep over the first k tilts runs exactly the full sweep's first k
-    # tilts, so its cost is the full sweep's running cost after tilt k
+    # a sweep over the first k tilts, given as normalized images of an
+    # infinite dose, runs exactly the full sweep's first k tilts, so its
+    # cost is the full sweep's running cost after tilt k
     zeros = np.zeros(winner.u.values.shape, np.complex128)
-    running = [solver._sweep(zeros.copy(), series, cfg, PARAMS, h, np.arange(k))
+    running = [solver._sweep(zeros.copy(), _first_tilts(series, k), cfg, PARAMS, h)
                for k in range(1, 9)]
     assert running == sorted(running) and running[-1] > best
     stop = next(i for i, cost in enumerate(running) if cost > best)
@@ -621,7 +617,7 @@ def test_losing_sweep_stops_at_the_first_tilt_above_the_best(monkeypatch):
     calls = {name: _count_calls(monkeypatch, name)
              for name in ("multislice_forward", "residual", "backpropagate", "apply_prox")}
     loser = solver._initial_state(series.grid)
-    solver._outer_iteration(loser, series, cfg, PARAMS, h, None, stop_above=best)
+    solver._outer_iteration(loser, series, cfg, PARAMS, h, stop_above=best)
     assert loser.cost_history == [running[stop]]
     assert len(calls["multislice_forward"]) == stop + 1
     # tilts before the stop form one residual per defocus; the stop tilt none
