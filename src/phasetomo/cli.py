@@ -6,7 +6,8 @@ values, and writes the full effective configuration into a manifest next
 to its outputs so any run is reproducible from the manifest alone. Only
 phantom and simulate take --seed. A config file holds one JSON object,
 and each value must be of its key's kind (see _load_config); any other
-config exits 2 before an output directory is made.
+config exits 2. The output directory is made just before a command's
+first write, so a run that fails before then (exit 2 or 3) leaves none.
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical failure.
 """
@@ -168,8 +169,11 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict, extra: dict | None =
     (out_dir / "run_manifest.json").write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _out_dir(cfg_out: str) -> Path:
-    out = Path(cfg_out)
+def _out_dir(path: str | Path) -> Path:
+    """Create the output directory ``path``. Each command calls it just
+    before its first write, so an input or config error found earlier
+    exits without leaving an empty directory."""
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -180,7 +184,6 @@ def _out_dir(cfg_out: str) -> Path:
 
 def cmd_phantom(args) -> int:
     cfg = _load_config(PHANTOM_DEFAULTS, args.config, {"seed": args.seed})
-    out = _out_dir(args.out)
     g = make_crystal(
         extent=cfg["extent"],
         pitch=cfg["pitch"],
@@ -204,6 +207,7 @@ def cmd_phantom(args) -> int:
         )
     if cfg["vacancy_fraction"]:
         g = inject_vacancies(g, cfg["vacancy_fraction"], seed=cfg["seed"] + 2)
+    out = _out_dir(args.out)
     write_ground_truth(g, out)
     _write_manifest(out, "phantom", cfg, {"n_atoms": len(g.atoms)})
     print(f"phantom: {len(g.atoms)} atoms -> {out}")
@@ -212,7 +216,6 @@ def cmd_phantom(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(SIMULATE_DEFAULTS, args.config, {"seed": args.seed})
-    out = _out_dir(args.out)
     if cfg["volume"]:
         volume_path = Path(cfg["volume"])
     elif cfg["phantom_dir"]:
@@ -232,6 +235,7 @@ def cmd_simulate(args) -> int:
     grid = GridSpec(v.nx, v.ny, v.pitch, params.wavelength)
     h = TransferFunction.identity(grid, cfg["aperture_qmax"])
     series = simulate_tilt_series(v, plan, params, cfg["n_b"], h, cfg["anti_alias"])
+    out = _out_dir(args.out)
     write_tilt_series(series, out)
     _write_manifest(out, "simulate", cfg, {"volume_path": str(volume_path)})
     print(f"simulate: {plan.n_tilts} tilts x {plan.n_defoci} defoci -> {out}")
@@ -242,6 +246,7 @@ def _reconstruct_once(series: TiltSeries, cfg: dict, out: Path, tag: str = "") -
     h = TransferFunction.identity(series.grid, cfg["aperture_qmax"])
     solver_cfg = SolverConfig(**{key: cfg[key] for key in SOLVER_KEYS})
     volume, history = reconstruct(series, solver_cfg, h=h)
+    _out_dir(out)
     write_volume(volume, out / f"reconstruction{tag}.raw")
     write_cost_history(history, out / f"cost{tag}.csv")
 
@@ -250,7 +255,7 @@ def cmd_reconstruct(args) -> int:
     cfg = _load_config(RECONSTRUCT_DEFAULTS, args.config, {"series_dir": args.series})
     if not cfg["series_dir"]:
         raise ConfigError("reconstruct needs 'series_dir'")
-    out = _out_dir(args.out)
+    out = Path(args.out)
     _reconstruct_once(read_tilt_series(cfg["series_dir"]), cfg, out)
     _write_manifest(out, "reconstruct", cfg)
     print(f"reconstruct: wrote {out / 'reconstruction.raw'}")
@@ -261,7 +266,7 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(SWEEP_DEFAULTS, args.config, {"series_dir": args.series})
     if not cfg["series_dir"]:
         raise ConfigError("sweep needs 'series_dir'")
-    out = _out_dir(args.out)
+    out = Path(args.out)
     series = read_tilt_series(cfg["series_dir"])
     for weight in cfg["reg_weights"]:
         _reconstruct_once(series, dict(cfg, reg_weight=weight), out, f"_w{weight:g}")
@@ -274,11 +279,11 @@ def cmd_trace(args) -> int:
     cfg = _load_config(TRACE_DEFAULTS, args.config, {"volume": args.volume})
     if not cfg["volume"]:
         raise ConfigError("trace needs 'volume'")
-    out = _out_dir(args.out)
     v = read_volume(cfg["volume"])
     traced = trace_atoms(v, TraceParams(**{key: cfg[key] for key in vars(_TRACE)}))
     if cfg["classify"] and len(traced):
         traced = classify_species(traced)
+    out = _out_dir(args.out)
     write_traced_csv(traced, out / "traced.csv")
     _write_manifest(out, "trace", cfg, {"n_sites": len(traced)})
     print(f"trace: {len(traced)} sites -> {out / 'traced.csv'}")
@@ -303,12 +308,12 @@ def cmd_evaluate(args) -> int:
     })
     if not cfg["traced"] or not cfg["truth"]:
         raise ConfigError("evaluate needs 'traced' and 'truth'")
-    out = _out_dir(args.out)
     volume = read_volume(cfg["volume"]) if cfg["volume"] else None
     pitch = cfg["pitch"] if volume is None else volume.pitch
     traced = read_sites_csv(cfg["traced"], pitch)
     truth = read_atoms_csv(cfg["truth"])
     report = score(traced, truth, cfg["match_radius"], cfg["matching"])
+    out = _out_dir(args.out)
     (out / "report.json").write_text(report.to_json())
 
     with (out / "intensity_histogram.csv").open("w", newline="") as fh:

@@ -287,6 +287,7 @@ def _sweep(
     params: InteractionParams,
     h: TransferFunction,
     stop_above: float = math.inf,
+    shears: dict | None = None,
 ) -> float:
     """One pass over all tilts; returns the accumulated amplitude cost.
 
@@ -294,7 +295,8 @@ def _sweep(
     place, so later tilts see the earlier updates. Once the running cost
     is strictly above ``stop_above`` the sweep returns it at once, before
     that tilt's residual and update: every per-tilt term is a sum of
-    squares, so the full cost could only be larger.
+    squares, so the full cost could only be larger. ``shears`` is the
+    run's store of rotation matrices (see :func:`rotate`).
     """
     plan = series.plan
     pitch = series.grid.pitch
@@ -306,7 +308,7 @@ def _sweep(
         if not np.all(np.isfinite(u)):
             raise DivergenceError("step size too large")
         vol = PotentialVolume(u, pitch)
-        w = bin_slices(rotate(vol, theta), cfg.n_b)
+        w = bin_slices(rotate(vol, theta, shears), cfg.n_b)
         exit_waves, intermediates = multislice_forward(w, params, factors)
         for exit_wave, amp_meas in zip(exit_waves, measured_amplitude[i]):
             diff = amp_meas - np.abs(exit_wave.values)
@@ -318,7 +320,7 @@ def _sweep(
         grads = backpropagate(residuals, intermediates, w, params, factors)
         g_binned = BinnedVolume(np.stack(grads), pitch, cfg.n_b)
         g_full = bin_adjoint(g_binned, cfg.n_b, nz)
-        g_vol = rotate_adjoint(g_full, theta).values  # a fresh array, scaled in place
+        g_vol = rotate_adjoint(g_full, theta, shears).values  # a fresh array, scaled in place
         g_vol *= cfg.step_size
         u -= g_vol
     return cost
@@ -333,7 +335,7 @@ def _initial_state(grid: GridSpec) -> SolverState:
 
 def _outer_iteration(state: SolverState, series: TiltSeries, cfg: SolverConfig,
                      params: InteractionParams, h: TransferFunction,
-                     stop_above: float = math.inf) -> None:
+                     stop_above: float = math.inf, shears: dict | None = None) -> None:
     """Advance ``state`` in place by one sweep at eta = ``cfg.step_size``,
     the prox and the Nesterov extrapolation, recording the sweep's cost.
     A TV prox starts from the previous iteration's final dual and leaves
@@ -341,10 +343,11 @@ def _outer_iteration(state: SolverState, series: TiltSeries, cfg: SolverConfig,
 
     A sweep stopped above ``stop_above`` (see :func:`_sweep`) records its
     partial cost and leaves the iterate there: no prox, no extrapolation.
+    ``shears`` is passed on to :func:`_sweep`.
     """
     # overflow inside a diverging iterate is caught by the finiteness guards
     with np.errstate(over="ignore", invalid="ignore"):
-        cost = _sweep(state.u.values, series, cfg, params, h, stop_above)
+        cost = _sweep(state.u.values, series, cfg, params, h, stop_above, shears)
         state.cost_history.append(cost)
         if not np.isfinite(cost) or cost > DIVERGENCE_FACTOR * state.cost_history[0]:
             raise DivergenceError("step size too large")
@@ -366,16 +369,19 @@ def bracket_step_size(
     cfg: SolverConfig,
     params: InteractionParams,
     h: TransferFunction,
+    shears: dict | None = None,
 ) -> tuple[float, SolverState]:
     """Pick the bracket candidate whose iteration-1 sweep costs least.
 
     Each candidate runs iteration 1 exactly as :func:`reconstruct` does,
-    and is scored by the cost of that sweep, its ``cost_history[0]``. Candidates are tried from the largest step down,
-    and the search stops at the first score strictly above the best so
-    far; ties go to the smaller step. A candidate's sweep is itself cut
-    short, with no prox, once its running cost passes the best: the cost
-    is a sum of non-negative per-tilt terms, so the pick is the same as
-    with full sweeps. Returns the winning step size and its state after
+    and is scored by the cost of that sweep, its ``cost_history[0]``.
+    The candidates share ``shears``, the run's store of rotation
+    matrices (a new one when None). Candidates are tried from the
+    largest step down, and the search stops at the first score strictly
+    above the best so far; ties go to the smaller step. A candidate's
+    sweep is itself cut short, with no prox, once its running cost
+    passes the best: the cost is a sum of non-negative per-tilt terms,
+    so the pick is the same as with full sweeps. Returns the winning step size and its state after
     iteration 1; only the best state so far is kept. A diverging
     candidate is skipped without stopping the search, any other error
     propagates, and :class:`DivergenceError` is raised when all diverge.
@@ -388,12 +394,14 @@ def bracket_step_size(
     assumption fails, a smaller step that is cheaper again behind a
     costlier one is missed.
     """
+    shears = {} if shears is None else shears
     best_cost, best = np.inf, None
     for eta in sorted(cfg.step_bracket, reverse=True):
         trial = replace(cfg, step_size=float(eta))
         state = _initial_state(series.grid)
         try:
-            _outer_iteration(state, series, trial, params, h, stop_above=best_cost)
+            _outer_iteration(state, series, trial, params, h, stop_above=best_cost,
+                             shears=shears)
         except (DivergenceError, NonFiniteError):
             continue
         cost = state.cost_history[0]
@@ -418,6 +426,8 @@ def reconstruct(
     per outer iteration is the amplitude cost accumulated during that
     sweep (predicted intensities from the then-current iterate). With no
     ``cfg.step_size`` the loop continues from the bracket winner's state.
+    Each tilt angle's rotation matrices are built once per run and shared
+    by the bracket candidates and every iteration (see :func:`rotate`).
     """
     grid = series.grid
     if params is None:
@@ -435,12 +445,13 @@ def reconstruct(
             RuntimeWarning,
             stacklevel=2,
         )
+    shears: dict = {}
     if cfg.step_size is None:
-        cfg.step_size, state = bracket_step_size(series, cfg, params, h)
+        cfg.step_size, state = bracket_step_size(series, cfg, params, h, shears)
     else:
         state = _initial_state(grid)
     while state.k < cfg.max_iter:
-        _outer_iteration(state, series, cfg, params, h)
+        _outer_iteration(state, series, cfg, params, h, shears=shears)
     return state.v_curr, state.cost_history
 
 

@@ -6,8 +6,8 @@ pitch in z. Dividing a voxel value by the pitch converts it to volts.
 
 The module provides:
     * y-axis rotation by a three-pass shear decomposition (Paeth 1986),
-      each pass a weighted shift of whole coordinate planes, plus its
-      exact algebraic adjoint,
+      each pass one sparse-matrix product with at most two interpolation
+      taps per row, plus its exact algebraic adjoint,
     * slice binning (summing groups of consecutive slices) and its adjoint,
     * the projected-potential -> transmittance map ``t = exp(i sigma W)``,
     * the relativistic electron wavelength / interaction constant,
@@ -15,10 +15,9 @@ The module provides:
 
 Array layout is ``(nz, ny, nx)`` with x fastest, matching the on-disk
 format (x, then y, then z). Only the rotation's shear passes work in
-other layouts: C-contiguous ``(coord, shift, y)`` arrays, (z, x, y) and
-(x, z, y), with y fastest. There each interpolation tap of a plane is
-one contiguous block of ``(hi - lo) * ny`` elements rather than many
-short strided rows.
+another layout: one (z, x, y) copy, y fastest, reshaped to rows of y.
+The x and z passes both act on it, each through its own index map, so
+each tap is a whole contiguous row of y.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .fields import ConfigurationError, GridSpec, WaveField, _require_finite
 
@@ -174,39 +174,86 @@ def _rot90_view(values: np.ndarray, k: int) -> np.ndarray:
     return turned[:, :, ::-1] if k == 1 else turned[::-1]
 
 
-def _sheared(src: np.ndarray, coeff: float, out: np.ndarray) -> np.ndarray:
-    """One shear pass from ``src`` into ``out``, both C-contiguous arrays
-    of one shape laid out as (coord, shift, y), in separate memory:
-    translate along axis 1 by coeff*(centered coordinate along axis 0),
-    with linear interpolation and zero fill outside the volume.
+def _shear_matrix(n_coord: int, n_shift: int, coeff: float, coord_axis: int,
+                  taps: tuple[int, ...]) -> csr_matrix:
+    """One shear pass as an (n_coord * n_shift)-square CSR matrix that acts
+    on a 2D array of rows, the rows indexed by (coord, shift) in C order
+    for ``coord_axis`` 0, or by (shift, coord) for 1.
 
-    The shift is constant over each plane of fixed coordinate, so the
-    pass is a weighted shift of whole planes: plane c gets
-    ``(1 - frac) * v`` shifted by ``k`` plus ``frac * v`` shifted by
-    ``k + 1`` samples, where ``k + frac`` is its offset. Samples shifted
-    past the end are dropped. In this layout each tap is one contiguous
-    block of whole (shift, y) rows. Each pass is exactly linear; its
-    adjoint is the same pass with the coefficient negated. Returns
-    ``out``.
+    The pass translates along the shift axis by coeff*(centered
+    coordinate), with linear interpolation and zero fill: at coordinate
+    c, with ``k + frac`` the offset, out[c, s] is ``(1 - frac) *
+    v[c, s - k]`` (tap 0) plus ``frac * v[c, s - k - 1]`` (tap 1). Each
+    row holds the entries of ``taps`` whose source is inside the volume,
+    at most two; taps outside are left out, zero weights are kept. The
+    arrays of the matrix are read-only.
+    """
+    offsets = coeff * (np.arange(n_coord) - (n_coord - 1) / 2.0)
+    k = np.floor(offsets).astype(np.int64)
+    frac = offsets - k
+    tap = np.asarray(taps)
+    # (coord, shift, tap) arrays: source index along the shift axis, weight, column
+    src = np.arange(n_shift)[:, None] - k[:, None, None] - tap
+    weight = np.broadcast_to(np.stack([1.0 - frac, frac], axis=1)[:, None, tap], src.shape)
+    coord = np.arange(n_coord)[:, None, None]
+    if coord_axis == 0:
+        col = coord * n_shift + src
+    else:  # rows run in (shift, coord) order
+        col = src * n_coord + coord
+        src, weight, col = (a.transpose(1, 0, 2) for a in (src, weight, col))
+    inside = (src >= 0) & (src < n_shift)
+    indptr = np.concatenate(([0], np.cumsum(inside.sum(axis=2).ravel())))
+    size = n_coord * n_shift
+    matrix = csr_matrix((weight[inside], col[inside], indptr), shape=(size, size))
+    for array in (matrix.data, matrix.indices, matrix.indptr):
+        array.flags.writeable = False
+    return matrix
+
+
+def _pass_matrices(n_coord: int, n_shift: int, coeff: float, coord_axis: int,
+                   dtype) -> tuple[csr_matrix, ...]:
+    """The matrices that apply one shear pass (see :func:`_shear_matrix`)
+    to an array of ``dtype``: one with both taps for float64 and
+    complex128, one per tap for any other dtype."""
+    one_product = np.dtype(dtype) in (np.float64, np.complex128)
+    return tuple(_shear_matrix(n_coord, n_shift, coeff, coord_axis, taps)
+                 for taps in (((0, 1),) if one_product else ((0,), (1,))))
+
+
+def _apply_pass(matrices: tuple[csr_matrix, ...], rows: np.ndarray) -> np.ndarray:
+    """A new array of ``rows``' shape and dtype: the sum of the products of
+    ``matrices`` with the 2D array ``rows``.
+
+    Each output element is ``0 + w0*a + w1*b`` in float64 (complex128
+    for complex input), the weights float64: the accumulation order and
+    operand types of a dense gather. Two terms commute, so the column
+    order within a row cannot change the result, and the zero start
+    turns a -0 into +0 as the gather does. For float32 or complex64 the
+    output is rounded to that dtype after each tap, one product per tap.
+    """
+    out = (matrices[0] @ rows).astype(rows.dtype, casting="same_kind", copy=False)
+    for matrix in matrices[1:]:
+        out += matrix @ rows
+    return out
+
+
+def _sheared(src: np.ndarray, coeff: float, out: np.ndarray) -> np.ndarray:
+    """One shear pass from ``src`` into ``out``, both arrays of one shape
+    laid out as (coord, shift, y): translate along axis 1 by
+    coeff*(centered coordinate along axis 0), with linear interpolation
+    and zero fill outside the volume.
+
+    The pass is the product of :func:`_shear_matrix` (coordinate axis 0)
+    with ``src`` reshaped to rows of y. Samples shifted past the end are
+    dropped. Each pass is exactly linear; its adjoint is the same pass
+    with the coefficient negated. Returns ``out``.
     """
     if coeff == 0.0:
         out[...] = src
         return out
-    n_coord, n_shift = src.shape[:2]
-    offsets = coeff * (np.arange(n_coord) - (n_coord - 1) / 2.0)
-    k = np.floor(offsets).astype(np.int64)
-    frac = offsets - k
-
-    out.fill(0)
-    for c, (k_c, frac_c) in enumerate(zip(k.tolist(), frac)):
-        # tap k, then tap k + 1, each weight a float64 scalar: the same
-        # accumulation order and operand types as a dense gather, so the
-        # output bytes do not depend on how the pass is written
-        for shift, w in ((k_c, 1.0 - frac_c), (k_c + 1, frac_c)):
-            # out[c, i] += w * v[c, i - shift] where both indices are inside
-            lo, hi = max(0, shift), min(n_shift, n_shift + shift)
-            if lo < hi:
-                out[c, lo:hi] += w * src[c, lo - shift:hi - shift]
+    n_coord, n_shift, ny = src.shape
+    matrices = _pass_matrices(n_coord, n_shift, coeff, 0, src.dtype)
+    out[...] = _apply_pass(matrices, src.reshape(n_coord * n_shift, ny)).reshape(src.shape)
     return out
 
 
@@ -222,26 +269,40 @@ def _shear_coeffs(phi_deg: float) -> tuple[float, float]:
     return -np.tan(phi / 2.0), np.sin(phi)
 
 
-def _shear_xzx(zyx: np.ndarray, alpha: float, beta: float, k_after: int) -> np.ndarray:
+def _shear_passes(n: int, alpha: float, beta: float, dtype,
+                  shears: dict | None) -> tuple[tuple[csr_matrix, ...], ...]:
+    """The x and z passes' matrices (coefficients ``alpha``, ``beta``) on
+    the (z, x, y) layout of an (n, ny, n) volume of ``dtype``.
+
+    ``shears`` is one run's store: the matrices are built on the first
+    request for their key and read from it afterwards. Without it they
+    are built for this call only.
+    """
+    key = (n, alpha, beta, np.dtype(dtype))
+    if shears is not None and key in shears:
+        return shears[key]
+    passes = (_pass_matrices(n, n, alpha, 0, dtype), _pass_matrices(n, n, beta, 1, dtype))
+    if shears is not None:
+        shears[key] = passes
+    return passes
+
+
+def _shear_xzx(zyx: np.ndarray, x_pass: tuple, z_pass: tuple, k_after: int) -> np.ndarray:
     """The x, z, x shear passes of a (z, y, x) array with nz == nx, then
     an exact rotation by ``k_after`` * 90 degrees; returns a new
     C-contiguous (z, y, x) array.
 
-    The passes run on (z, x, y) and (x, z, y) copies. Since nz == nx the
-    two layouts have one shape, so two buffers serve every pass and swap
-    (fresh large arrays cost page faults), and the result is written
-    back into the first.
+    The passes are sparse-matrix products (:func:`_apply_pass`) on one
+    (z, x, y) copy reshaped to rows of y: the x and z passes differ only
+    in their matrices' index maps, so no copy is made between them. Each
+    product's operand is freed once the next exists, so at most two
+    volume-sized arrays are alive; fresh large arrays cost page faults.
     """
-    a = zyx.transpose(0, 2, 1).copy()  # (z, x, y); always a copy, never a view
-    b = np.empty_like(a)
-    _sheared(a, alpha, b)
-    a[...] = b.transpose(1, 0, 2)  # (x, z, y)
-    _sheared(a, beta, b)
-    a[...] = b.transpose(1, 0, 2)  # (z, x, y)
-    _sheared(a, alpha, b)
-    out = a.reshape(zyx.shape)
-    out[...] = _rot90_view(b.transpose(0, 2, 1), k_after)
-    return out
+    n, ny = zyx.shape[:2]
+    rows = zyx.transpose(0, 2, 1).reshape(n * n, ny)  # (z, x, y)
+    for matrices in (x_pass, z_pass, x_pass):
+        rows = _apply_pass(matrices, rows)
+    return np.ascontiguousarray(_rot90_view(rows.reshape(n, n, ny).transpose(0, 2, 1), k_after))
 
 
 def _check_rotatable(v: PotentialVolume, k: int, phi: float) -> None:
@@ -249,7 +310,7 @@ def _check_rotatable(v: PotentialVolume, k: int, phi: float) -> None:
         raise ValueError("rotation requires nx == nz")
 
 
-def rotate(v: PotentialVolume, theta_deg: float) -> PotentialVolume:
+def rotate(v: PotentialVolume, theta_deg: float, shears: dict | None = None) -> PotentialVolume:
     """Rotate the volume about the y axis by ``theta_deg``.
 
     Positive angles turn the +x axis toward +z. The rotation is an exact
@@ -258,34 +319,45 @@ def rotate(v: PotentialVolume, theta_deg: float) -> PotentialVolume:
     any input angle. Voxels sheared outside the volume are dropped,
     vacated voxels are zero.
 
-    The shear passes run in (z, x, y) and (x, z, y) layouts, y fastest,
-    so that each plane's interpolation taps are contiguous blocks rather
-    than short strided rows. The permutation is a view, folded into the
-    copy into the first layout; a last copy brings the result back to
+    Each shear pass is one sparse-matrix product on a (z, x, y) copy of
+    the volume, y fastest (see :func:`_shear_xzx`). The permutation is a
+    view, folded into that copy; a last copy brings the result back to
     (z, y, x). The result never shares memory with the input.
+
+    ``shears`` is a run's store of pass matrices, a dict the caller keeps
+    for the run. Matrices are kept under their shear coefficients: they
+    are built by the first rotation that needs them and reused by every
+    later one with the same residual angle. Without it the call builds
+    its own.
     """
     k, phi = _split_angle(theta_deg)
     _check_rotatable(v, k, phi)
     turned = _rot90_view(v.values, k)
     if phi == 0.0:
         return PotentialVolume(turned.copy(), v.pitch)
-    return PotentialVolume(_shear_xzx(turned, *_shear_coeffs(phi), 0), v.pitch)
+    passes = _shear_passes(v.nx, *_shear_coeffs(phi), v.values.dtype, shears)
+    return PotentialVolume(_shear_xzx(turned, *passes, 0), v.pitch)
 
 
-def rotate_adjoint(v: PotentialVolume, theta_deg: float) -> PotentialVolume:
+def rotate_adjoint(v: PotentialVolume, theta_deg: float,
+                   shears: dict | None = None) -> PotentialVolume:
     """Exact algebraic adjoint of :func:`rotate` at the same angle.
 
-    Transposes each shear pass (negated coefficient) in reverse order,
-    then inverts the 90-degree permutation, as a view folded into the
-    final copy back to (z, y, x). The result never shares memory with
-    the input.
+    Applies the transposed shear passes, the same matrices built with
+    negated coefficients (the x pass, the z pass, the x pass again), then
+    inverts the 90-degree permutation, as a view folded into the final
+    copy back to (z, y, x). ``shears`` is as in :func:`rotate`; the
+    adjoint's negated coefficients are those of a forward rotation by the
+    negated residual angle, so the two share matrices. The result never
+    shares memory with the input.
     """
     k, phi = _split_angle(theta_deg)
     _check_rotatable(v, k, phi)
     if phi == 0.0:
         return PotentialVolume(_rot90_view(v.values, -k).copy(), v.pitch)
     alpha, beta = _shear_coeffs(phi)
-    return PotentialVolume(_shear_xzx(v.values, -alpha, -beta, -k), v.pitch)
+    passes = _shear_passes(v.nx, -alpha, -beta, v.values.dtype, shears)
+    return PotentialVolume(_shear_xzx(v.values, *passes, -k), v.pitch)
 
 
 # ---------------------------------------------------------------------------

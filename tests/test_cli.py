@@ -474,6 +474,46 @@ def test_sweep_rejects_a_single_reg_weight(phantom_dir, tmp_path, capsys):
     assert "config key 'reg_weights' must be a JSON array" in capsys.readouterr().err
 
 
+def _trace_on_a_fractional_nz(phantom_dir, tmp_path):
+    write_volume(PotentialVolume(np.zeros((12, 12, 12)), 0.5), tmp_path / "v.raw")
+    meta = json.loads((tmp_path / "v.json").read_text())
+    (tmp_path / "v.json").write_text(json.dumps(dict(meta, nz=47.5)))
+    return ["trace", "--volume", str(tmp_path / "v.raw")], "nz must be an integer"
+
+
+def _reconstruct_on_a_fractional_seed(phantom_dir, tmp_path):
+    series_dir = _small_series(phantom_dir, tmp_path, "fracseed")
+    manifest = json.loads((series_dir / "manifest.json").read_text())
+    (series_dir / "manifest.json").write_text(json.dumps(dict(manifest, seed=1.5)))
+    return ["reconstruct", "--series", str(series_dir)], "seed must be an integer"
+
+
+def _evaluate_with_an_unknown_matching(phantom_dir, tmp_path):
+    cfg = _write_config(tmp_path, "eval.json", {"matching": "bogus"})
+    atoms = str(phantom_dir / "atoms.csv")
+    return (["evaluate", "--config", cfg, "--traced", atoms, "--truth", atoms],
+            "matching method must be")
+
+
+def _phantom_with_an_unknown_shape(phantom_dir, tmp_path):
+    cfg = _write_config(tmp_path, "shape.json", {"extent": 16, "shape": "bogus"})
+    return ["phantom", "--config", cfg], "unknown clip shape 'bogus'"
+
+
+@pytest.mark.parametrize("case", [
+    _trace_on_a_fractional_nz, _reconstruct_on_a_fractional_seed,
+    _evaluate_with_an_unknown_matching, _phantom_with_an_unknown_shape,
+], ids=["trace-nz-47.5", "reconstruct-seed-1.5", "evaluate-matching-bogus",
+        "phantom-shape-bogus"])
+def test_an_input_error_exits_2_without_making_the_output_directory(
+        phantom_dir, tmp_path, capsys, case):
+    argv, message = case(phantom_dir, tmp_path)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_required_inputs_exit_2(tmp_path):
     assert main(["reconstruct", "--out", str(tmp_path / "x")]) == 2
     assert main(["trace", "--out", str(tmp_path / "y")]) == 2

@@ -23,6 +23,7 @@ from phasetomo import (
     uniform_tilt_angles,
 )
 from phasetomo import solver
+from phasetomo import volume as volume_ops
 from phasetomo.solver import (
     apply_prox,
     bracket_step_size,
@@ -649,6 +650,82 @@ def test_step_bracket_search_goes_on_past_a_diverging_largest_step(monkeypatch):
     # 1e9 diverges and is skipped, 1e5 wins, and 1e3 costs more and stops the search
     assert [trial.step_size for _, _, trial, *_ in calls] == [1e9, 1e5, 1e3]
     assert step == 1e5
+
+
+def _gather_pass(values, shift_axis, coeff):
+    """One shear pass of a (z, y, x) cube by two full-size gathers: shift
+    along ``shift_axis`` (2 for x, 0 for z) by coeff*(centered coordinate
+    along the other axis), linear taps, zero fill."""
+    n = values.shape[0]
+    offsets = coeff * (np.arange(n) - (n - 1) / 2.0)
+    k = np.floor(offsets).astype(np.int64)
+    frac = offsets - k
+    out = np.zeros_like(values)
+    for tap, w in ((0, 1.0 - frac), (1, frac)):
+        src = np.arange(n)[None, :] - (k + tap)[:, None]  # (coord, shift)
+        weight = w[:, None] * ((src >= 0) & (src < n))
+        src = np.clip(src, 0, n - 1)
+        if shift_axis == 0:  # (coord, shift) is (x, z)
+            src, weight = src.T, weight.T
+        out += weight[:, None, :] * np.take_along_axis(values, src[:, None, :], shift_axis)
+    return out
+
+
+def _gather_rotation(v, theta, shears=None, adjoint=False):
+    """Rotation (or its adjoint) by np.rot90 and three gather passes."""
+    k, phi = volume_ops._split_angle(theta)
+    alpha, beta = volume_ops._shear_coeffs(phi)
+    values = v.values
+    if adjoint:
+        alpha, beta = -alpha, -beta
+    else:
+        values = np.rot90(values, k, axes=(2, 0))
+    if phi != 0.0:
+        for shift_axis, coeff in ((2, alpha), (0, beta), (2, alpha)):
+            values = _gather_pass(values, shift_axis, coeff)
+    if adjoint:
+        values = np.rot90(values, -k, axes=(2, 0))
+    return PotentialVolume(values.copy(), v.pitch)
+
+
+def test_a_run_builds_each_angles_shear_matrices_once_and_matches_gather_rotations(
+        monkeypatch):
+    series = _series(_blob_volume(seed=14), n_tilts=5, dose=5e4, seed=15)
+    cfg = SolverConfig(step_size=None, reg_kind="tv", reg_weight=1e-2, n_b=2, max_iter=2,
+                       step_bracket=(1e4, 1e5, 1e6))
+    h = TransferFunction.identity(series.grid)
+    builds, matrices = [], []
+    original = volume_ops._shear_matrix
+
+    def counted(*args):
+        builds.append(args)
+        matrices.append(original(*args))
+        return matrices[-1]
+
+    monkeypatch.setattr(volume_ops, "_shear_matrix", counted)
+    rotations = _count_calls(monkeypatch, "rotate")
+    volume, history = reconstruct(series, cfg, PARAMS, h)
+    # an adjoint's coefficients are the forward ones negated; theta = 0 has no shear
+    pairs = set()
+    for theta in series.plan.tilt_angles:
+        alpha, beta = volume_ops._shear_coeffs(volume_ops._split_angle(theta)[1])
+        if alpha != 0.0:
+            pairs |= {(alpha, beta), (-alpha, -beta)}
+    assert len(builds) == len(set(builds)) == 2 * len(pairs)
+    assert set(builds) == {(16, 16, coeff, axis, (0, 1))
+                           for alpha, beta in pairs for coeff, axis in ((alpha, 0), (beta, 1))}
+    assert len(rotations) > 2 * len(series.plan.tilt_angles)  # the bracket ran
+    for matrix in matrices:
+        for array in (matrix.data, matrix.indices, matrix.indptr):
+            assert not array.flags.writeable
+
+    monkeypatch.setattr(solver, "rotate", _gather_rotation)
+    monkeypatch.setattr(solver, "rotate_adjoint",
+                        lambda v, theta, shears=None: _gather_rotation(v, theta, adjoint=True))
+    expected_volume, expected_history = reconstruct(series, cfg, PARAMS, h)
+    assert len(builds) == 2 * len(pairs)  # the gather run built none
+    assert volume.values.tobytes() == expected_volume.values.tobytes()
+    assert history == expected_history
 
 
 def test_solver_config_validation():

@@ -250,7 +250,7 @@ _ORACLE_ANGLES = list(uniform_tilt_angles(20, 180.0)) + [
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.float32, np.complex64])
-@pytest.mark.parametrize("shape", [(16, 16, 16), (17, 9, 17), (15, 20, 15)])
+@pytest.mark.parametrize("shape", [(16, 16, 16), (17, 9, 17), (15, 20, 15), (48, 48, 48)])
 def test_rotation_is_byte_identical_to_gather_reference(dtype, shape):
     rng = np.random.default_rng(14)
     values = rng.normal(size=shape).astype(dtype)
