@@ -37,10 +37,12 @@ from .volume import (
     BinnedVolume,
     InteractionParams,
     PotentialVolume,
-    bin_slices,
+    project,
     read_manifest,
-    rotate,
 )
+# Not called here (simulation projects each tilt with one matrix); the two
+# names stay importable from this module because perfbench/layers.py wraps them.
+from .volume import bin_slices, rotate  # noqa: F401
 
 RNG_ALGORITHM = "numpy-philox4x64"
 ANTI_ALIAS_FRACTION = 2.0 / 3.0
@@ -258,7 +260,8 @@ def simulate_tilt_series(
     h: TransferFunction | None = None,
     anti_alias: bool = True,
 ) -> TiltSeries:
-    """Per tilt: rotate, bin, multislice, detect, add Poisson noise."""
+    """Per tilt: rotate and bin (one :func:`~phasetomo.volume.project`),
+    multislice, detect, add Poisson noise."""
     grid = GridSpec(nx=v.nx, ny=v.ny, pitch=v.pitch, wavelength=params.wavelength)
     if h is None:
         h = TransferFunction.identity(grid)
@@ -271,7 +274,7 @@ def simulate_tilt_series(
     images = np.empty((plan.n_tilts, plan.n_defoci) + grid.shape)
     dose = plan.dose_per_image
     for i, theta in enumerate(plan.tilt_angles):
-        w = bin_slices(rotate(v, theta), n_b)
+        w = project(v, theta, n_b)
         exit_waves, _ = multislice_forward(w, params, factors)
         for j, exit_wave in enumerate(exit_waves):
             ideal = intensity(exit_wave)

@@ -17,6 +17,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -82,9 +83,20 @@ class AtomList:
 
 @dataclass
 class GroundTruth:
+    """Atoms on an (nz, ny, nx) ``shape`` grid of voxel ``pitch``.
+
+    ``volume`` is their render, made on first use and kept: a phantom
+    edited in steps (shell, vacancies) renders only its final atom list.
+    """
+
     atoms: AtomList
-    volume: PotentialVolume
+    shape: tuple[int, int, int]
+    pitch: float
     metadata: dict = field(default_factory=dict)
+
+    @cached_property
+    def volume(self) -> PotentialVolume:
+        return render_potential(self.atoms, self.shape, self.pitch)
 
 
 def _species_defaults(name: str, amplitudes: dict | None) -> float:
@@ -195,7 +207,6 @@ def make_crystal(
     atoms = AtomList(xyz, species, amplitude, np.full(len(xyz), width))
     if len(atoms) >= 2 and atoms.min_pairwise_distance() < d_min:
         raise AssertionError("lattice violates the minimum distance")
-    volume = render_potential(atoms, (extent, extent, extent), pitch)
     metadata = {
         "generator": "crystal",
         "extent": extent,
@@ -210,7 +221,7 @@ def make_crystal(
         "seed": seed,
         "rng_algorithm": PHANTOM_RNG_ALGORITHM,
     }
-    return GroundTruth(atoms, volume, metadata)
+    return GroundTruth(atoms, (extent, extent, extent), pitch, metadata)
 
 
 def add_amorphous_shell(
@@ -234,11 +245,11 @@ def add_amorphous_shell(
     ``bond_length``.
     """
     if thickness == 0.0:
-        return GroundTruth(g.atoms, g.volume, dict(g.metadata))
+        return GroundTruth(g.atoms, g.shape, g.pitch, dict(g.metadata))
     if thickness < 0.0:
         raise ValueError("shell thickness must be non-negative")
-    nz, ny, nx = g.volume.values.shape
-    pitch = g.volume.pitch
+    nz, ny, nx = g.shape
+    pitch = g.pitch
     size = nx * pitch
     margin = float(g.metadata.get("margin_voxels", 2.0)) * pitch
     center = np.array([size / 2.0, ny * pitch / 2.0, size / 2.0])
@@ -288,14 +299,13 @@ def add_amorphous_shell(
                 break
     n_shell = len(shell_positions)
     if n_shell == 0:
-        return GroundTruth(g.atoms, g.volume, dict(g.metadata))
+        return GroundTruth(g.atoms, g.shape, g.pitch, dict(g.metadata))
 
     species = np.where(rng.random(n_shell) < light_fraction, "light", "heavy").astype(object)
     amplitude = np.array([_species_defaults(s, amplitudes) for s in species])
     shell = AtomList(np.array(shell_positions), species, amplitude,
                      np.full(n_shell, width))
     atoms = g.atoms.concatenated(shell)
-    volume = render_potential(atoms, (nz, ny, nx), pitch)
     metadata = dict(g.metadata)
     metadata.update({
         "shell_thickness": thickness,
@@ -303,11 +313,11 @@ def add_amorphous_shell(
         "shell_seed": seed,
         "shell_atoms": n_shell,
     })
-    return GroundTruth(atoms, volume, metadata)
+    return GroundTruth(atoms, g.shape, pitch, metadata)
 
 
 def inject_vacancies(g: GroundTruth, fraction: float, seed: int = 0) -> GroundTruth:
-    """Remove round(fraction * N) uniformly chosen atoms and re-render.
+    """Remove round(fraction * N) uniformly chosen atoms.
 
     Returns the defected ground truth; the removed sites are recorded in
     the metadata for later vacancy checks.
@@ -317,20 +327,19 @@ def inject_vacancies(g: GroundTruth, fraction: float, seed: int = 0) -> GroundTr
     n = len(g.atoms)
     n_remove = round(fraction * n)  # round-half-even
     if n_remove == 0:
-        return GroundTruth(g.atoms, g.volume, dict(g.metadata))
+        return GroundTruth(g.atoms, g.shape, g.pitch, dict(g.metadata))
     rng = np.random.default_rng(seed)
     removed = np.sort(rng.choice(n, size=n_remove, replace=False))
     keep = np.ones(n, dtype=bool)
     keep[removed] = False
     atoms = g.atoms.subset(keep)
-    volume = render_potential(atoms, g.volume.values.shape, g.volume.pitch)
     metadata = dict(g.metadata)
     metadata.update({
         "vacancy_fraction": fraction,
         "vacancy_seed": seed,
         "vacancy_sites": g.atoms.positions[removed].tolist(),
     })
-    return GroundTruth(atoms, volume, metadata)
+    return GroundTruth(atoms, g.shape, g.pitch, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -393,4 +402,6 @@ def read_ground_truth(in_dir: str | Path) -> GroundTruth:
     atoms = read_atoms_csv(in_dir / "atoms.csv")
     volume = read_volume(in_dir / "volume.raw")
     metadata = json.loads((in_dir / "manifest.json").read_text())
-    return GroundTruth(atoms, volume, metadata)
+    g = GroundTruth(atoms, volume.values.shape, volume.pitch, metadata)
+    g.volume = volume  # the stored volume, not a new render
+    return g

@@ -1,9 +1,10 @@
 """Accelerated incremental proximal-gradient reconstruction.
 
 One outer iteration sweeps all tilt angles sequentially. For each tilt
-the current estimate is rotated and slice-binned, the forward model is
-evaluated, residuals are backpropagated, and the estimate receives an
-immediate gradient step through the binning and rotation adjoints. After
+the current estimate is rotated and slice-binned (one product with the
+angle's projector matrix), the forward model is evaluated, residuals are
+backpropagated, and the estimate receives an immediate gradient step
+through the projector's transpose. After
 the sweep a proximal operator (positivity, soft-threshold, or total
 variation, each composed with positivity) regularizes the iterate, and a
 momentum extrapolation with the scalar sequence
@@ -34,12 +35,14 @@ from .volume import (
     BinnedVolume,
     InteractionParams,
     PotentialVolume,
-    bin_adjoint,
-    bin_slices,
+    from_rows,
     interaction_from_wavelength,
-    rotate,
-    rotate_adjoint,
+    projector,
+    to_rows,
 )
+# Not called here (the sweep applies one projector per tilt); the four names
+# stay importable from this module because perfbench/layers.py wraps them.
+from .volume import bin_adjoint, bin_slices, rotate, rotate_adjoint  # noqa: F401
 
 REG_KINDS = ("positivity", "lasso", "tv")
 DIVERGENCE_FACTOR = 10.0
@@ -287,42 +290,51 @@ def _sweep(
     params: InteractionParams,
     h: TransferFunction,
     stop_above: float = math.inf,
-    shears: dict | None = None,
+    projectors: dict | None = None,
 ) -> float:
     """One pass over all tilts; returns the accumulated amplitude cost.
 
-    The per-tilt gradient step U -= eta * R_adj(B_adj(g)) is applied in
-    place, so later tilts see the earlier updates. Once the running cost
-    is strictly above ``stop_above`` the sweep returns it at once, before
-    that tilt's residual and update: every per-tilt term is a sum of
-    squares, so the full cost could only be larger. ``shears`` is the
-    run's store of rotation matrices (see :func:`rotate`).
+    Each tilt's rotation and binning is one product with its
+    :func:`~phasetomo.volume.projector` P, and the per-tilt gradient
+    step U -= eta * P^T g is applied at once, so later tilts see the
+    earlier updates. The sweep holds ``u`` in the projectors' row layout
+    (:func:`~phasetomo.volume.to_rows`) and writes it back into ``u``
+    once, on every way out. Once the running cost is strictly above
+    ``stop_above`` the sweep returns it at once, before that tilt's
+    residual and update: every per-tilt term is a sum of squares, so the
+    full cost could only be larger. ``projectors`` is the run's store,
+    keyed by tilt angle: a missing projector is built and kept there.
     """
     plan = series.plan
     pitch = series.grid.pitch
     factors = multislice_factors(h, cfg.n_b * pitch, plan.defoci, cfg.anti_alias)
     measured_amplitude = np.sqrt(series.normalized())
-    nz = u.shape[0]
+    projectors = {} if projectors is None else projectors
+    nz, _, nx = u.shape
+    rows = to_rows(u)
     cost = 0.0
-    for i, theta in enumerate(plan.tilt_angles):
-        if not np.all(np.isfinite(u)):
-            raise DivergenceError("step size too large")
-        vol = PotentialVolume(u, pitch)
-        w = bin_slices(rotate(vol, theta, shears), cfg.n_b)
-        exit_waves, intermediates = multislice_forward(w, params, factors)
-        for exit_wave, amp_meas in zip(exit_waves, measured_amplitude[i]):
-            diff = amp_meas - np.abs(exit_wave.values)
-            cost += float(np.sum(diff * diff))
-        if cost > stop_above:
-            return cost
-        residuals = [residual(exit_wave, amp_meas)
-                     for exit_wave, amp_meas in zip(exit_waves, measured_amplitude[i])]
-        grads = backpropagate(residuals, intermediates, w, params, factors)
-        g_binned = BinnedVolume(np.stack(grads), pitch, cfg.n_b)
-        g_full = bin_adjoint(g_binned, cfg.n_b, nz)
-        g_vol = rotate_adjoint(g_full, theta, shears).values  # a fresh array, scaled in place
-        g_vol *= cfg.step_size
-        u -= g_vol
+    try:
+        for i, theta in enumerate(plan.tilt_angles):
+            if not np.all(np.isfinite(rows)):
+                raise DivergenceError("step size too large")
+            if theta not in projectors:
+                projectors[theta] = projector(nz, nx, theta, cfg.n_b)
+            matrix = projectors[theta]
+            w = BinnedVolume(from_rows(matrix @ rows, nx), pitch, cfg.n_b)
+            exit_waves, intermediates = multislice_forward(w, params, factors)
+            for exit_wave, amp_meas in zip(exit_waves, measured_amplitude[i]):
+                diff = amp_meas - np.abs(exit_wave.values)
+                cost += float(np.sum(diff * diff))
+            if cost > stop_above:
+                return cost
+            residuals = [residual(exit_wave, amp_meas)
+                         for exit_wave, amp_meas in zip(exit_waves, measured_amplitude[i])]
+            grads = backpropagate(residuals, intermediates, w, params, factors)
+            step = matrix.T @ to_rows(np.stack(grads))  # a fresh array, scaled in place
+            step *= cfg.step_size
+            rows -= step
+    finally:
+        u[...] = from_rows(rows, nx)
     return cost
 
 
@@ -335,7 +347,7 @@ def _initial_state(grid: GridSpec) -> SolverState:
 
 def _outer_iteration(state: SolverState, series: TiltSeries, cfg: SolverConfig,
                      params: InteractionParams, h: TransferFunction,
-                     stop_above: float = math.inf, shears: dict | None = None) -> None:
+                     stop_above: float = math.inf, projectors: dict | None = None) -> None:
     """Advance ``state`` in place by one sweep at eta = ``cfg.step_size``,
     the prox and the Nesterov extrapolation, recording the sweep's cost.
     A TV prox starts from the previous iteration's final dual and leaves
@@ -343,11 +355,11 @@ def _outer_iteration(state: SolverState, series: TiltSeries, cfg: SolverConfig,
 
     A sweep stopped above ``stop_above`` (see :func:`_sweep`) records its
     partial cost and leaves the iterate there: no prox, no extrapolation.
-    ``shears`` is passed on to :func:`_sweep`.
+    ``projectors`` is passed on to :func:`_sweep`.
     """
     # overflow inside a diverging iterate is caught by the finiteness guards
     with np.errstate(over="ignore", invalid="ignore"):
-        cost = _sweep(state.u.values, series, cfg, params, h, stop_above, shears)
+        cost = _sweep(state.u.values, series, cfg, params, h, stop_above, projectors)
         state.cost_history.append(cost)
         if not np.isfinite(cost) or cost > DIVERGENCE_FACTOR * state.cost_history[0]:
             raise DivergenceError("step size too large")
@@ -369,20 +381,21 @@ def bracket_step_size(
     cfg: SolverConfig,
     params: InteractionParams,
     h: TransferFunction,
-    shears: dict | None = None,
+    projectors: dict | None = None,
 ) -> tuple[float, SolverState]:
     """Pick the bracket candidate whose iteration-1 sweep costs least.
 
     Each candidate runs iteration 1 exactly as :func:`reconstruct` does,
     and is scored by the cost of that sweep, its ``cost_history[0]``.
-    The candidates share ``shears``, the run's store of rotation
-    matrices (a new one when None). Candidates are tried from the
-    largest step down, and the search stops at the first score strictly
-    above the best so far; ties go to the smaller step. A candidate's
-    sweep is itself cut short, with no prox, once its running cost
-    passes the best: the cost is a sum of non-negative per-tilt terms,
-    so the pick is the same as with full sweeps. Returns the winning step size and its state after
-    iteration 1; only the best state so far is kept. A diverging
+    The candidates share ``projectors``, the run's store of projectors
+    by tilt angle (a new one when None, see :func:`_sweep`). Candidates
+    are tried from the largest step down, and the search stops at the
+    first score strictly above the best so far; ties go to the smaller
+    step. A candidate's sweep is itself cut short, with no prox, once
+    its running cost passes the best: the cost is a sum of non-negative
+    per-tilt terms, so the pick is the same as with full sweeps. Returns
+    the winning step size and its state after iteration 1; only the best
+    state so far is kept. A diverging
     candidate is skipped without stopping the search, any other error
     propagates, and :class:`DivergenceError` is raised when all diverge.
     A candidate that would diverge only after its running cost has passed
@@ -394,14 +407,14 @@ def bracket_step_size(
     assumption fails, a smaller step that is cheaper again behind a
     costlier one is missed.
     """
-    shears = {} if shears is None else shears
+    projectors = {} if projectors is None else projectors
     best_cost, best = np.inf, None
     for eta in sorted(cfg.step_bracket, reverse=True):
         trial = replace(cfg, step_size=float(eta))
         state = _initial_state(series.grid)
         try:
             _outer_iteration(state, series, trial, params, h, stop_above=best_cost,
-                             shears=shears)
+                             projectors=projectors)
         except (DivergenceError, NonFiniteError):
             continue
         cost = state.cost_history[0]
@@ -426,8 +439,10 @@ def reconstruct(
     per outer iteration is the amplitude cost accumulated during that
     sweep (predicted intensities from the then-current iterate). With no
     ``cfg.step_size`` the loop continues from the bracket winner's state.
-    Each tilt angle's rotation matrices are built once per run and shared
-    by the bracket candidates and every iteration (see :func:`rotate`).
+    Each tilt angle's projector (its rotation and binning as one matrix,
+    :func:`~phasetomo.volume.projector`) is built once per run, kept in
+    one store keyed by angle, and shared by the bracket candidates and
+    every iteration.
     """
     grid = series.grid
     if params is None:
@@ -445,13 +460,13 @@ def reconstruct(
             RuntimeWarning,
             stacklevel=2,
         )
-    shears: dict = {}
+    projectors: dict = {}
     if cfg.step_size is None:
-        cfg.step_size, state = bracket_step_size(series, cfg, params, h, shears)
+        cfg.step_size, state = bracket_step_size(series, cfg, params, h, projectors)
     else:
         state = _initial_state(grid)
     while state.k < cfg.max_iter:
-        _outer_iteration(state, series, cfg, params, h, shears=shears)
+        _outer_iteration(state, series, cfg, params, h, projectors=projectors)
     return state.v_curr, state.cost_history
 
 

@@ -5,19 +5,26 @@ A volume stores per-slice projected potential in volt*Angstrom: slice ``m``
 pitch in z. Dividing a voxel value by the pitch converts it to volts.
 
 The module provides:
-    * y-axis rotation by a three-pass shear decomposition (Paeth 1986),
+    * the projector of one tilt angle: y-axis rotation and slice binning
+      as one sparse matrix (:func:`projector`), which simulation and the
+      solver apply, and whose transpose is the solver's adjoint,
+    * the reference operators it is composed from and tested against:
+      y-axis rotation by a three-pass shear decomposition (Paeth 1986),
       each pass one sparse-matrix product with at most two interpolation
-      taps per row, plus its exact algebraic adjoint,
-    * slice binning (summing groups of consecutive slices) and its adjoint,
+      taps per row, plus its exact algebraic adjoint; slice binning
+      (summing groups of consecutive slices) and its adjoint,
     * the projected-potential -> transmittance map ``t = exp(i sigma W)``,
     * the relativistic electron wavelength / interaction constant,
     * the raw+JSON volume file format.
 
 Array layout is ``(nz, ny, nx)`` with x fastest, matching the on-disk
-format (x, then y, then z). Only the rotation's shear passes work in
-another layout: one (z, x, y) copy, y fastest, reshaped to rows of y.
-The x and z passes both act on it, each through its own index map, so
-each tap is a whole contiguous row of y.
+format (x, then y, then z). The rotation acts in the x-z plane, the same
+on every y, so its matrices act on another layout, the row layout: the
+volume as (z, x) rows of y, y fastest (:func:`to_rows` and
+:func:`from_rows`). Each tap of a shear pass, and each slice of a slab,
+is then a whole contiguous row of y. The reference rotation makes a
+row-layout copy per call; the solver holds its iterate in that layout
+for a whole sweep.
 """
 
 from __future__ import annotations
@@ -269,22 +276,10 @@ def _shear_coeffs(phi_deg: float) -> tuple[float, float]:
     return -np.tan(phi / 2.0), np.sin(phi)
 
 
-def _shear_passes(n: int, alpha: float, beta: float, dtype,
-                  shears: dict | None) -> tuple[tuple[csr_matrix, ...], ...]:
+def _shear_passes(n: int, alpha: float, beta: float, dtype) -> tuple[tuple[csr_matrix, ...], ...]:
     """The x and z passes' matrices (coefficients ``alpha``, ``beta``) on
-    the (z, x, y) layout of an (n, ny, n) volume of ``dtype``.
-
-    ``shears`` is one run's store: the matrices are built on the first
-    request for their key and read from it afterwards. Without it they
-    are built for this call only.
-    """
-    key = (n, alpha, beta, np.dtype(dtype))
-    if shears is not None and key in shears:
-        return shears[key]
-    passes = (_pass_matrices(n, n, alpha, 0, dtype), _pass_matrices(n, n, beta, 1, dtype))
-    if shears is not None:
-        shears[key] = passes
-    return passes
+    the (z, x, y) layout of an (n, ny, n) volume of ``dtype``."""
+    return _pass_matrices(n, n, alpha, 0, dtype), _pass_matrices(n, n, beta, 1, dtype)
 
 
 def _shear_xzx(zyx: np.ndarray, x_pass: tuple, z_pass: tuple, k_after: int) -> np.ndarray:
@@ -305,12 +300,12 @@ def _shear_xzx(zyx: np.ndarray, x_pass: tuple, z_pass: tuple, k_after: int) -> n
     return np.ascontiguousarray(_rot90_view(rows.reshape(n, n, ny).transpose(0, 2, 1), k_after))
 
 
-def _check_rotatable(v: PotentialVolume, k: int, phi: float) -> None:
-    if (k % 4 != 0 or phi != 0.0) and v.nx != v.nz:
+def _check_rotatable(nz: int, nx: int, k: int, phi: float) -> None:
+    if (k % 4 != 0 or phi != 0.0) and nx != nz:
         raise ValueError("rotation requires nx == nz")
 
 
-def rotate(v: PotentialVolume, theta_deg: float, shears: dict | None = None) -> PotentialVolume:
+def rotate(v: PotentialVolume, theta_deg: float) -> PotentialVolume:
     """Rotate the volume about the y axis by ``theta_deg``.
 
     Positive angles turn the +x axis toward +z. The rotation is an exact
@@ -322,41 +317,34 @@ def rotate(v: PotentialVolume, theta_deg: float, shears: dict | None = None) -> 
     Each shear pass is one sparse-matrix product on a (z, x, y) copy of
     the volume, y fastest (see :func:`_shear_xzx`). The permutation is a
     view, folded into that copy; a last copy brings the result back to
-    (z, y, x). The result never shares memory with the input.
-
-    ``shears`` is a run's store of pass matrices, a dict the caller keeps
-    for the run. Matrices are kept under their shear coefficients: they
-    are built by the first rotation that needs them and reused by every
-    later one with the same residual angle. Without it the call builds
-    its own.
+    (z, y, x). The result never shares memory with the input. The pass
+    matrices are built for each call: this is the reference operator,
+    and the reconstruction loop uses :func:`projector` instead.
     """
     k, phi = _split_angle(theta_deg)
-    _check_rotatable(v, k, phi)
+    _check_rotatable(v.nz, v.nx, k, phi)
     turned = _rot90_view(v.values, k)
     if phi == 0.0:
         return PotentialVolume(turned.copy(), v.pitch)
-    passes = _shear_passes(v.nx, *_shear_coeffs(phi), v.values.dtype, shears)
+    passes = _shear_passes(v.nx, *_shear_coeffs(phi), v.values.dtype)
     return PotentialVolume(_shear_xzx(turned, *passes, 0), v.pitch)
 
 
-def rotate_adjoint(v: PotentialVolume, theta_deg: float,
-                   shears: dict | None = None) -> PotentialVolume:
+def rotate_adjoint(v: PotentialVolume, theta_deg: float) -> PotentialVolume:
     """Exact algebraic adjoint of :func:`rotate` at the same angle.
 
     Applies the transposed shear passes, the same matrices built with
     negated coefficients (the x pass, the z pass, the x pass again), then
     inverts the 90-degree permutation, as a view folded into the final
-    copy back to (z, y, x). ``shears`` is as in :func:`rotate`; the
-    adjoint's negated coefficients are those of a forward rotation by the
-    negated residual angle, so the two share matrices. The result never
-    shares memory with the input.
+    copy back to (z, y, x). The result never shares memory with the
+    input.
     """
     k, phi = _split_angle(theta_deg)
-    _check_rotatable(v, k, phi)
+    _check_rotatable(v.nz, v.nx, k, phi)
     if phi == 0.0:
         return PotentialVolume(_rot90_view(v.values, -k).copy(), v.pitch)
     alpha, beta = _shear_coeffs(phi)
-    passes = _shear_passes(v.nx, -alpha, -beta, v.values.dtype, shears)
+    passes = _shear_passes(v.nx, -alpha, -beta, v.values.dtype)
     return PotentialVolume(_shear_xzx(v.values, *passes, -k), v.pitch)
 
 
@@ -452,6 +440,77 @@ def bin_adjoint(vb: BinnedVolume, n_b: int, nz: int) -> PotentialVolume:
     if nz > replicated.shape[0]:
         raise ValueError("target nz exceeds the binned extent")
     return PotentialVolume(replicated[:nz], vb.pitch)  # np.repeat made a fresh array
+
+
+# ---------------------------------------------------------------------------
+# the projector: rotation and binning as one matrix on the row layout
+# ---------------------------------------------------------------------------
+
+def to_rows(values: np.ndarray) -> np.ndarray:
+    """A new C-contiguous (m * nx, ny) array holding the (m, ny, nx) array
+    ``values`` as (z, x) rows of y: row ``z * nx + x`` is ``values[z, :, x]``."""
+    m, ny, nx = values.shape
+    return np.array(values.transpose(0, 2, 1), order="C").reshape(m * nx, ny)
+
+
+def from_rows(rows: np.ndarray, nx: int) -> np.ndarray:
+    """The (m, ny, nx) view of ``rows``, an (m * nx, ny) array in the
+    layout of :func:`to_rows`; not a copy."""
+    ny = rows.shape[1]
+    return rows.reshape(-1, nx, ny).transpose(0, 2, 1)
+
+
+def _bin_matrix(nz: int, nx: int, n_b: int) -> csr_matrix:
+    """:func:`bin_slices` on the row layout: row (slab, x) holds a one for
+    each (z, x) with z in that slab; a last slab past nz has fewer, which
+    is the zero padding."""
+    z = np.arange(nz)
+    slab_rows = ((z // n_b)[:, None] * nx + np.arange(nx)).ravel()
+    n_slabs = -(-nz // n_b)
+    return csr_matrix((np.ones(nz * nx), (slab_rows, np.arange(nz * nx))),
+                      shape=(n_slabs * nx, nz * nx))
+
+
+def projector(nz: int, nx: int, theta_deg: float, n_b: int) -> csr_matrix:
+    """``bin_slices(rotate(., theta_deg), n_b)`` of an (nz, ny, nx) volume
+    as one read-only float64 CSR matrix on its row layout (see
+    :func:`to_rows`), of shape (n_slabs * nx, nz * nx) for any ny.
+
+    The matrix is the product binning * x-shear * z-shear * x-shear *
+    90-degree turn: the passes of :func:`_shear_matrix`, a ones matrix
+    summing each slab's slices (zero-padded past nz, as
+    :func:`bin_slices`), and the turn as a permutation of the columns.
+    ``projector(...) @ to_rows(v.values)`` is the rows of the slabs, and
+    ``projector(...).T @ slab_rows`` applies
+    ``rotate_adjoint(bin_adjoint(.))``. Both agree with those reference
+    operators to float64 rounding, not bit for bit: the composed weights
+    round differently from three passes and the exact slab sum.
+    """
+    if n_b <= 0:
+        raise ValueError("binning factor must be positive")
+    k, phi = _split_angle(theta_deg)
+    _check_rotatable(nz, nx, k, phi)
+    matrix = _bin_matrix(nz, nx, n_b)
+    if phi != 0.0:
+        alpha, beta = _shear_coeffs(phi)
+        x_pass = _shear_matrix(nx, nx, alpha, 0, (0, 1))
+        matrix = matrix @ x_pass @ _shear_matrix(nx, nx, beta, 1, (0, 1)) @ x_pass
+    if k % 4:
+        # the turned row r is the input row source[r]: its column moves there
+        source = _rot90_view(np.arange(nz * nx).reshape(nz, 1, nx), k).ravel()
+        matrix = csr_matrix((matrix.data, source[matrix.indices], matrix.indptr),
+                            shape=matrix.shape)
+    matrix.sort_indices()
+    for array in (matrix.data, matrix.indices, matrix.indptr):
+        array.flags.writeable = False
+    return matrix
+
+
+def project(v: PotentialVolume, theta_deg: float, n_b: int) -> BinnedVolume:
+    """``bin_slices(rotate(v, theta_deg), n_b)`` as one product with
+    :func:`projector`; float64, or complex128 for a complex ``v``."""
+    matrix = projector(v.nz, v.nx, theta_deg, n_b)
+    return BinnedVolume(from_rows(matrix @ to_rows(v.values), v.nx), v.pitch, n_b)
 
 
 def transmittance(slab: np.ndarray, params: InteractionParams, grid: GridSpec) -> WaveField:

@@ -211,6 +211,32 @@ def test_simulate_reproducible_bitwise():
     assert np.array_equal(a.images, b.images)
 
 
+def test_simulate_builds_one_projector_per_tilt_and_matches_rotate_then_bin(monkeypatch):
+    from phasetomo import volume as volume_ops
+    from phasetomo.volume import bin_slices, rotate
+
+    v = PotentialVolume(np.random.default_rng(19).uniform(0.0, 5.0, (12, 10, 12)), 0.5)
+    # over 180 degrees, tilts 90 degrees apart share a residual shear angle
+    plan = AcquisitionPlan(tuple(uniform_tilt_angles(6)), (250.0, 1000.0))
+    builds = []
+    original = volume_ops.projector
+
+    def counted(*args):
+        builds.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(volume_ops, "projector", counted)
+    images = simulate_tilt_series(v, plan, PARAMS, n_b=3).images
+    assert sorted(builds) == sorted((12, 12, theta, 3) for theta in plan.tilt_angles)
+    grid = GridSpec(nx=12, ny=10, pitch=0.5, wavelength=PARAMS.wavelength)
+    factors = multislice_factors(TransferFunction.identity(grid), 1.5, plan.defoci)
+    for i, theta in enumerate(plan.tilt_angles):
+        exit_waves, _ = multislice_forward(bin_slices(rotate(v, theta), 3), PARAMS, factors)
+        ref = np.stack([intensity(e) for e in exit_waves])
+        # the projector rounds differently from rotate then bin_slices
+        np.testing.assert_allclose(images[i], ref, rtol=1e-12, atol=0)
+
+
 def test_uniform_tilt_angles_formula():
     angles = uniform_tilt_angles(60, 180.0)
     assert len(angles) == 60

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from phasetomo import (
+    BinnedVolume,
     GridSpec,
     PotentialVolume,
     bin_adjoint,
@@ -19,7 +20,15 @@ from phasetomo import (
     write_volume,
 )
 from phasetomo.forward import uniform_tilt_angles
-from phasetomo.volume import _shear_coeffs, _sheared, _split_angle
+from phasetomo.volume import (
+    _shear_coeffs,
+    _sheared,
+    _split_angle,
+    from_rows,
+    project,
+    projector,
+    to_rows,
+)
 
 
 def _smooth_volume(n, seed=0):
@@ -380,6 +389,76 @@ def test_bin_rejects_bad_factor():
     v = PotentialVolume(np.zeros((4, 4, 4)), 0.5)
     with pytest.raises(ValueError):
         bin_slices(v, 0)
+
+
+# ---------------------------------------------------------------------------
+# projector: rotation and binning as one matrix
+# ---------------------------------------------------------------------------
+
+_PROJECTOR_ANGLES = list(uniform_tilt_angles(20, 180.0)) + [0.0, 90.0, 180.0, -135.0, 37.0, 123.0]
+
+
+def _random_values(rng, shape, dtype):
+    values = rng.normal(size=shape)
+    if dtype is np.complex128:
+        values = values + 1j * rng.normal(size=shape)
+    return values
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("shape, n_b", [
+    ((48, 48, 48), 4), ((16, 12, 16), 3), ((20, 20, 20), 1), ((17, 5, 17), 4)])
+def test_projector_matches_rotate_then_bin_and_their_adjoints(dtype, shape, n_b):
+    rng = np.random.default_rng(16)
+    nz, ny, nx = shape
+    v = PotentialVolume(_random_values(rng, shape, dtype), 0.5)
+    slabs = _random_values(rng, (-(-nz // n_b), ny, nx), dtype)
+    for theta in _PROJECTOR_ANGLES:
+        matrix = projector(nz, nx, theta, n_b)
+        out = project(v, theta, n_b)
+        ref = bin_slices(rotate(v, theta), n_b)
+        assert (out.n_b, out.pitch, out.values.dtype) == (n_b, 0.5, ref.values.dtype)
+        assert out.values.shape == ref.values.shape, theta
+        # the composed weights round differently: 5.8e-16 at most, measured
+        assert np.max(np.abs(out.values - ref.values)) <= 2e-15 * np.max(np.abs(ref.values))
+        back = from_rows(matrix.T @ to_rows(slabs), nx)
+        ref_back = rotate_adjoint(bin_adjoint(BinnedVolume(slabs, 0.5, n_b), n_b, nz), theta)
+        assert back.shape == ref_back.values.shape, theta
+        assert np.max(np.abs(back - ref_back.values)) <= 2e-15 * np.max(np.abs(ref_back.values))
+        lhs, rhs = _vdot(slabs, out.values), _vdot(back, v.values)
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs), theta
+
+
+def test_projector_arrays_are_read_only():
+    for theta in (0.0, 90.0, 37.0):
+        matrix = projector(12, 12, theta, 2)
+        for array in (matrix.data, matrix.indices, matrix.indptr):
+            assert not array.flags.writeable
+
+
+@pytest.mark.parametrize("theta", [37.0, 90.0, 180.0])
+def test_projector_of_a_non_cubic_volume_raises_as_rotate_does(theta):
+    v = PotentialVolume(np.random.default_rng(18).normal(size=(16, 4, 12)), 0.5)
+    with pytest.raises(ValueError) as expected:
+        rotate(v, theta)
+    with pytest.raises(ValueError) as raised:
+        projector(16, 12, theta, 2)
+    assert str(raised.value) == str(expected.value)
+    for whole_turns in (0.0, 360.0, -720.0):  # the binning alone
+        ref = bin_slices(v, 3).values
+        out = project(v, whole_turns, 3).values
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) <= 2e-15 * np.max(np.abs(ref))
+
+
+def test_row_layout_round_trip_copies_once():
+    values = np.random.default_rng(17).normal(size=(5, 1, 7))  # a y-thin volume
+    rows = to_rows(values)
+    assert rows.shape == (35, 1) and rows.flags.c_contiguous
+    assert not np.shares_memory(rows, values)
+    assert rows[3 * 7 + 4, 0] == values[3, 0, 4]
+    assert np.array_equal(from_rows(rows, 7), values)
+    assert np.shares_memory(from_rows(rows, 7), rows)
 
 
 # ---------------------------------------------------------------------------
