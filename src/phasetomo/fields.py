@@ -35,6 +35,12 @@ def _require_finite(values: np.ndarray, what: str = "field") -> None:
         raise NonFiniteError(f"non-finite {what}")
 
 
+def _require_positive(value: float, what: str) -> None:
+    """Raise unless ``0 < value < inf``, which a NaN fails too."""
+    if not 0.0 < value < np.inf:
+        raise ConfigurationError(f"{what} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Lateral sampling grid shared by wave fields and transfer functions.
@@ -57,10 +63,8 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise ConfigurationError("grid needs at least 2 pixels per axis")
-        if self.pitch <= 0.0:
-            raise ConfigurationError("pitch must be positive")
-        if self.wavelength <= 0.0:
-            raise ConfigurationError("wavelength must be positive")
+        _require_positive(self.pitch, "pitch")
+        _require_positive(self.wavelength, "wavelength")
 
     @property
     def shape(self) -> tuple[int, int]:

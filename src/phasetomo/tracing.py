@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import least_squares
 
+from .fields import _require_positive
 from .phantom import ATOMS_CSV_HEADER, AtomList, read_csv_rows
 from .volume import PotentialVolume
 
@@ -90,6 +91,7 @@ class TracedAtoms:
         self.intensity = np.asarray(self.intensity, dtype=np.float64).reshape(n)
         self.width = np.asarray(self.width, dtype=np.float64).reshape(n)
         self.species = np.asarray(self.species, dtype=object).reshape(n)
+        _require_positive(self.pitch, "pitch")
 
     def __len__(self) -> int:
         return len(self.positions_voxels)
@@ -535,6 +537,9 @@ def classify_species(traced: TracedAtoms) -> TracedAtoms:
 
 def _match_pairs(traced_xyz: np.ndarray, truth_xyz: np.ndarray, radius: float,
                  method: str) -> list[tuple[int, int, float]]:
+    _require_positive(radius, "match_radius")
+    if method not in ("greedy", "optimal"):
+        raise ValueError(f"matching method must be 'greedy' or 'optimal', got {method!r}")
     if len(traced_xyz) == 0 or len(truth_xyz) == 0:
         return []
     delta = traced_xyz[:, None, :] - truth_xyz[None, :, :]
@@ -547,8 +552,6 @@ def _match_pairs(traced_xyz: np.ndarray, truth_xyz: np.ndarray, radius: float,
         rows, cols = linear_sum_assignment(cost)
         return [(int(i), int(j), float(dist[i, j]))
                 for i, j in zip(rows, cols) if dist[i, j] <= radius]
-    if method != "greedy":
-        raise ValueError("matching method must be 'greedy' or 'optimal'")
     order = np.argsort(dist, axis=None)
     used_traced: set[int] = set()
     used_truth: set[int] = set()

@@ -5,26 +5,27 @@ A volume stores per-slice projected potential in volt*Angstrom: slice ``m``
 pitch in z. Dividing a voxel value by the pitch converts it to volts.
 
 The module provides:
-    * the projector of one tilt angle: y-axis rotation and slice binning
-      as one sparse matrix (:func:`projector`), which simulation and the
-      solver apply, and whose transpose is the solver's adjoint,
-    * the reference operators it is composed from and tested against:
-      y-axis rotation by a three-pass shear decomposition (Paeth 1986),
-      each pass one sparse-matrix product with at most two interpolation
-      taps per row, plus its exact algebraic adjoint; slice binning
-      (summing groups of consecutive slices) and its adjoint,
+    * the projector of one tilt angle (:func:`projector`): y-axis
+      rotation by an exact 90-degree turn and three shear passes (Paeth
+      1986), then slice binning, as one sparse matrix whose transpose is
+      the exact adjoint. Simulation and the solver apply it;
+      :func:`rotate` and :func:`rotate_adjoint` are its products at a
+      binning factor of 1,
+    * slice binning (summing groups of consecutive slices) and its
+      adjoint with an exact group sum, which the projector's binning is
+      tested against,
     * the projected-potential -> transmittance map ``t = exp(i sigma W)``,
     * the relativistic electron wavelength / interaction constant,
     * the raw+JSON volume file format.
 
 Array layout is ``(nz, ny, nx)`` with x fastest, matching the on-disk
 format (x, then y, then z). The rotation acts in the x-z plane, the same
-on every y, so its matrices act on another layout, the row layout: the
+on every y, so the projector acts on another layout, the row layout: the
 volume as (z, x) rows of y, y fastest (:func:`to_rows` and
 :func:`from_rows`). Each tap of a shear pass, and each slice of a slab,
-is then a whole contiguous row of y. The reference rotation makes a
-row-layout copy per call; the solver holds its iterate in that layout
-for a whole sweep.
+is then a whole contiguous row of y. :func:`rotate` and :func:`project`
+make a row-layout copy per call; the solver holds its iterate in that
+layout for a whole sweep.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from pathlib import Path
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .fields import ConfigurationError, GridSpec, WaveField, _require_finite
+from .fields import ConfigurationError, GridSpec, WaveField, _require_finite, _require_positive
 
 # CODATA 2018
 _PLANCK_H = 6.62607015e-34        # J s
@@ -63,8 +64,7 @@ class PotentialVolume:
         self.values = np.asarray(self.values)
         if self.values.ndim != 3:
             raise ValueError("volume values must be 3D (nz, ny, nx)")
-        if self.pitch <= 0.0:
-            raise ConfigurationError("pitch must be positive")
+        _require_positive(self.pitch, "pitch")
 
     @property
     def nz(self) -> int:
@@ -116,8 +116,8 @@ class InteractionParams:
     accel_voltage_kv: float
 
     def __post_init__(self):
-        if self.sigma <= 0.0 or self.wavelength <= 0.0:
-            raise ConfigurationError("sigma and wavelength must be positive")
+        _require_positive(self.sigma, "sigma")
+        _require_positive(self.wavelength, "wavelength")
 
 
 def electron_wavelength(accel_voltage_kv: float) -> float:
@@ -146,8 +146,7 @@ def interaction_from_wavelength(wavelength: float) -> InteractionParams:
     The relation E(2 m0 c^2 + E) = (hc/lambda)^2 is inverted in closed
     form; useful when only the wavelength is recorded in a manifest.
     """
-    if wavelength <= 0.0:
-        raise ConfigurationError("wavelength must be positive")
+    _require_positive(wavelength, "wavelength")
     e_kev = -_M0C2_KEV + np.sqrt(_M0C2_KEV**2 + (_HC_KEV_A / wavelength) ** 2)
     return interaction_parameter(e_kev)
 
@@ -181,8 +180,7 @@ def _rot90_view(values: np.ndarray, k: int) -> np.ndarray:
     return turned[:, :, ::-1] if k == 1 else turned[::-1]
 
 
-def _shear_matrix(n_coord: int, n_shift: int, coeff: float, coord_axis: int,
-                  taps: tuple[int, ...]) -> csr_matrix:
+def _shear_matrix(n_coord: int, n_shift: int, coeff: float, coord_axis: int) -> csr_matrix:
     """One shear pass as an (n_coord * n_shift)-square CSR matrix that acts
     on a 2D array of rows, the rows indexed by (coord, shift) in C order
     for ``coord_axis`` 0, or by (shift, coord) for 1.
@@ -191,17 +189,15 @@ def _shear_matrix(n_coord: int, n_shift: int, coeff: float, coord_axis: int,
     coordinate), with linear interpolation and zero fill: at coordinate
     c, with ``k + frac`` the offset, out[c, s] is ``(1 - frac) *
     v[c, s - k]`` (tap 0) plus ``frac * v[c, s - k - 1]`` (tap 1). Each
-    row holds the entries of ``taps`` whose source is inside the volume,
-    at most two; taps outside are left out, zero weights are kept. The
-    arrays of the matrix are read-only.
+    row holds the taps whose source is inside the volume, at most two;
+    taps outside are left out, zero weights are kept.
     """
     offsets = coeff * (np.arange(n_coord) - (n_coord - 1) / 2.0)
     k = np.floor(offsets).astype(np.int64)
     frac = offsets - k
-    tap = np.asarray(taps)
     # (coord, shift, tap) arrays: source index along the shift axis, weight, column
-    src = np.arange(n_shift)[:, None] - k[:, None, None] - tap
-    weight = np.broadcast_to(np.stack([1.0 - frac, frac], axis=1)[:, None, tap], src.shape)
+    src = np.arange(n_shift)[:, None] - k[:, None, None] - np.arange(2)
+    weight = np.broadcast_to(np.stack([1.0 - frac, frac], axis=1)[:, None, :], src.shape)
     coord = np.arange(n_coord)[:, None, None]
     if coord_axis == 0:
         col = coord * n_shift + src
@@ -211,57 +207,7 @@ def _shear_matrix(n_coord: int, n_shift: int, coeff: float, coord_axis: int,
     inside = (src >= 0) & (src < n_shift)
     indptr = np.concatenate(([0], np.cumsum(inside.sum(axis=2).ravel())))
     size = n_coord * n_shift
-    matrix = csr_matrix((weight[inside], col[inside], indptr), shape=(size, size))
-    for array in (matrix.data, matrix.indices, matrix.indptr):
-        array.flags.writeable = False
-    return matrix
-
-
-def _pass_matrices(n_coord: int, n_shift: int, coeff: float, coord_axis: int,
-                   dtype) -> tuple[csr_matrix, ...]:
-    """The matrices that apply one shear pass (see :func:`_shear_matrix`)
-    to an array of ``dtype``: one with both taps for float64 and
-    complex128, one per tap for any other dtype."""
-    one_product = np.dtype(dtype) in (np.float64, np.complex128)
-    return tuple(_shear_matrix(n_coord, n_shift, coeff, coord_axis, taps)
-                 for taps in (((0, 1),) if one_product else ((0,), (1,))))
-
-
-def _apply_pass(matrices: tuple[csr_matrix, ...], rows: np.ndarray) -> np.ndarray:
-    """A new array of ``rows``' shape and dtype: the sum of the products of
-    ``matrices`` with the 2D array ``rows``.
-
-    Each output element is ``0 + w0*a + w1*b`` in float64 (complex128
-    for complex input), the weights float64: the accumulation order and
-    operand types of a dense gather. Two terms commute, so the column
-    order within a row cannot change the result, and the zero start
-    turns a -0 into +0 as the gather does. For float32 or complex64 the
-    output is rounded to that dtype after each tap, one product per tap.
-    """
-    out = (matrices[0] @ rows).astype(rows.dtype, casting="same_kind", copy=False)
-    for matrix in matrices[1:]:
-        out += matrix @ rows
-    return out
-
-
-def _sheared(src: np.ndarray, coeff: float, out: np.ndarray) -> np.ndarray:
-    """One shear pass from ``src`` into ``out``, both arrays of one shape
-    laid out as (coord, shift, y): translate along axis 1 by
-    coeff*(centered coordinate along axis 0), with linear interpolation
-    and zero fill outside the volume.
-
-    The pass is the product of :func:`_shear_matrix` (coordinate axis 0)
-    with ``src`` reshaped to rows of y. Samples shifted past the end are
-    dropped. Each pass is exactly linear; its adjoint is the same pass
-    with the coefficient negated. Returns ``out``.
-    """
-    if coeff == 0.0:
-        out[...] = src
-        return out
-    n_coord, n_shift, ny = src.shape
-    matrices = _pass_matrices(n_coord, n_shift, coeff, 0, src.dtype)
-    out[...] = _apply_pass(matrices, src.reshape(n_coord * n_shift, ny)).reshape(src.shape)
-    return out
+    return csr_matrix((weight[inside], col[inside], indptr), shape=(size, size))
 
 
 def _split_angle(theta_deg: float) -> tuple[int, float]:
@@ -276,76 +222,9 @@ def _shear_coeffs(phi_deg: float) -> tuple[float, float]:
     return -np.tan(phi / 2.0), np.sin(phi)
 
 
-def _shear_passes(n: int, alpha: float, beta: float, dtype) -> tuple[tuple[csr_matrix, ...], ...]:
-    """The x and z passes' matrices (coefficients ``alpha``, ``beta``) on
-    the (z, x, y) layout of an (n, ny, n) volume of ``dtype``."""
-    return _pass_matrices(n, n, alpha, 0, dtype), _pass_matrices(n, n, beta, 1, dtype)
-
-
-def _shear_xzx(zyx: np.ndarray, x_pass: tuple, z_pass: tuple, k_after: int) -> np.ndarray:
-    """The x, z, x shear passes of a (z, y, x) array with nz == nx, then
-    an exact rotation by ``k_after`` * 90 degrees; returns a new
-    C-contiguous (z, y, x) array.
-
-    The passes are sparse-matrix products (:func:`_apply_pass`) on one
-    (z, x, y) copy reshaped to rows of y: the x and z passes differ only
-    in their matrices' index maps, so no copy is made between them. Each
-    product's operand is freed once the next exists, so at most two
-    volume-sized arrays are alive; fresh large arrays cost page faults.
-    """
-    n, ny = zyx.shape[:2]
-    rows = zyx.transpose(0, 2, 1).reshape(n * n, ny)  # (z, x, y)
-    for matrices in (x_pass, z_pass, x_pass):
-        rows = _apply_pass(matrices, rows)
-    return np.ascontiguousarray(_rot90_view(rows.reshape(n, n, ny).transpose(0, 2, 1), k_after))
-
-
 def _check_rotatable(nz: int, nx: int, k: int, phi: float) -> None:
     if (k % 4 != 0 or phi != 0.0) and nx != nz:
         raise ValueError("rotation requires nx == nz")
-
-
-def rotate(v: PotentialVolume, theta_deg: float) -> PotentialVolume:
-    """Rotate the volume about the y axis by ``theta_deg``.
-
-    Positive angles turn the +x axis toward +z. The rotation is an exact
-    90-degree permutation composed with a three-pass (x, z, x) shear for
-    the residual angle, so the residual shears stay well conditioned for
-    any input angle. Voxels sheared outside the volume are dropped,
-    vacated voxels are zero.
-
-    Each shear pass is one sparse-matrix product on a (z, x, y) copy of
-    the volume, y fastest (see :func:`_shear_xzx`). The permutation is a
-    view, folded into that copy; a last copy brings the result back to
-    (z, y, x). The result never shares memory with the input. The pass
-    matrices are built for each call: this is the reference operator,
-    and the reconstruction loop uses :func:`projector` instead.
-    """
-    k, phi = _split_angle(theta_deg)
-    _check_rotatable(v.nz, v.nx, k, phi)
-    turned = _rot90_view(v.values, k)
-    if phi == 0.0:
-        return PotentialVolume(turned.copy(), v.pitch)
-    passes = _shear_passes(v.nx, *_shear_coeffs(phi), v.values.dtype)
-    return PotentialVolume(_shear_xzx(turned, *passes, 0), v.pitch)
-
-
-def rotate_adjoint(v: PotentialVolume, theta_deg: float) -> PotentialVolume:
-    """Exact algebraic adjoint of :func:`rotate` at the same angle.
-
-    Applies the transposed shear passes, the same matrices built with
-    negated coefficients (the x pass, the z pass, the x pass again), then
-    inverts the 90-degree permutation, as a view folded into the final
-    copy back to (z, y, x). The result never shares memory with the
-    input.
-    """
-    k, phi = _split_angle(theta_deg)
-    _check_rotatable(v.nz, v.nx, k, phi)
-    if phi == 0.0:
-        return PotentialVolume(_rot90_view(v.values, -k).copy(), v.pitch)
-    alpha, beta = _shear_coeffs(phi)
-    passes = _shear_passes(v.nx, -alpha, -beta, v.values.dtype)
-    return PotentialVolume(_shear_xzx(v.values, *passes, -k), v.pitch)
 
 
 # ---------------------------------------------------------------------------
@@ -472,19 +351,26 @@ def _bin_matrix(nz: int, nx: int, n_b: int) -> csr_matrix:
 
 
 def projector(nz: int, nx: int, theta_deg: float, n_b: int) -> csr_matrix:
-    """``bin_slices(rotate(., theta_deg), n_b)`` of an (nz, ny, nx) volume
-    as one read-only float64 CSR matrix on its row layout (see
-    :func:`to_rows`), of shape (n_slabs * nx, nz * nx) for any ny.
+    """The operator of one tilt angle on an (nz, ny, nx) volume: rotation
+    about the y axis by ``theta_deg``, then the sum of every ``n_b``
+    consecutive slices into one slab. One read-only float64 CSR matrix on
+    the volume's row layout (see :func:`to_rows`), of shape
+    (n_slabs * nx, nz * nx) for any ny; its transpose is the exact adjoint.
+
+    Positive angles turn the +x axis toward +z. The rotation is an exact
+    90-degree turn composed with a three-pass (x, z, x) shear for the
+    residual angle of at most 45 degrees (Paeth 1986), so the shears stay
+    well conditioned for any input angle. Voxels sheared outside the
+    volume are dropped, vacated voxels are zero.
 
     The matrix is the product binning * x-shear * z-shear * x-shear *
-    90-degree turn: the passes of :func:`_shear_matrix`, a ones matrix
-    summing each slab's slices (zero-padded past nz, as
-    :func:`bin_slices`), and the turn as a permutation of the columns.
-    ``projector(...) @ to_rows(v.values)`` is the rows of the slabs, and
-    ``projector(...).T @ slab_rows`` applies
-    ``rotate_adjoint(bin_adjoint(.))``. Both agree with those reference
-    operators to float64 rounding, not bit for bit: the composed weights
-    round differently from three passes and the exact slab sum.
+    turn: the passes of :func:`_shear_matrix`, a ones matrix summing each
+    slab's slices (zero-padded past nz, as :func:`bin_slices`), and the
+    turn as a permutation of the columns. At ``n_b`` 1 the binning factor
+    is the identity, and the matrix is :func:`rotate`. For ``n_b`` > 1 it
+    agrees with ``bin_slices(rotate(.))`` to float64 rounding, not bit
+    for bit: the composed weights round differently from the exact slab
+    sum.
     """
     if n_b <= 0:
         raise ValueError("binning factor must be positive")
@@ -493,8 +379,8 @@ def projector(nz: int, nx: int, theta_deg: float, n_b: int) -> csr_matrix:
     matrix = _bin_matrix(nz, nx, n_b)
     if phi != 0.0:
         alpha, beta = _shear_coeffs(phi)
-        x_pass = _shear_matrix(nx, nx, alpha, 0, (0, 1))
-        matrix = matrix @ x_pass @ _shear_matrix(nx, nx, beta, 1, (0, 1)) @ x_pass
+        x_pass = _shear_matrix(nx, nx, alpha, 0)
+        matrix = matrix @ x_pass @ _shear_matrix(nx, nx, beta, 1) @ x_pass
     if k % 4:
         # the turned row r is the input row source[r]: its column moves there
         source = _rot90_view(np.arange(nz * nx).reshape(nz, 1, nx), k).ravel()
@@ -511,6 +397,24 @@ def project(v: PotentialVolume, theta_deg: float, n_b: int) -> BinnedVolume:
     :func:`projector`; float64, or complex128 for a complex ``v``."""
     matrix = projector(v.nz, v.nx, theta_deg, n_b)
     return BinnedVolume(from_rows(matrix @ to_rows(v.values), v.nx), v.pitch, n_b)
+
+
+def rotate(v: PotentialVolume, theta_deg: float) -> PotentialVolume:
+    """Rotate the volume about the y axis by ``theta_deg``, +x toward +z:
+    one product with ``projector(v.nz, v.nx, theta_deg, 1)``. The result
+    is a C-contiguous float64, or complex128 for a complex ``v``, array
+    that never shares memory with the input."""
+    matrix = projector(v.nz, v.nx, theta_deg, 1)
+    return PotentialVolume(
+        np.ascontiguousarray(from_rows(matrix @ to_rows(v.values), v.nx)), v.pitch)
+
+
+def rotate_adjoint(v: PotentialVolume, theta_deg: float) -> PotentialVolume:
+    """Exact algebraic adjoint of :func:`rotate` at the same angle: one
+    product with the transpose of the same matrix."""
+    matrix = projector(v.nz, v.nx, theta_deg, 1)
+    return PotentialVolume(
+        np.ascontiguousarray(from_rows(matrix.T @ to_rows(v.values), v.nx)), v.pitch)
 
 
 def transmittance(slab: np.ndarray, params: InteractionParams, grid: GridSpec) -> WaveField:

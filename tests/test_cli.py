@@ -2,6 +2,7 @@
 
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from phasetomo import (
     write_volume,
 )
 from phasetomo.cli import main
-from phasetomo.tracing import read_sites_csv
+from phasetomo.tracing import TRACED_CSV_HEADER, read_sites_csv
 
 
 def _write_config(tmp_path, name, payload):
@@ -500,11 +501,64 @@ def _phantom_with_an_unknown_shape(phantom_dir, tmp_path):
     return ["phantom", "--config", cfg], "unknown clip shape 'bogus'"
 
 
+def _trace_on_a_sidecar_pitch(phantom_dir, tmp_path, value):
+    # json reads NaN and Infinity; such a pitch used to trace 0 sites and exit 0
+    write_volume(PotentialVolume(np.zeros((12, 12, 12)), 0.5), tmp_path / "v.raw")
+    meta = json.loads((tmp_path / "v.json").read_text())
+    (tmp_path / "v.json").write_text(json.dumps(dict(meta, pitch_angstrom=value)))
+    return (["trace", "--volume", str(tmp_path / "v.raw")],
+            f"pitch must be finite and positive, got {value}")
+
+
+def _reconstruct_on_a_manifest_value(phantom_dir, tmp_path, key, value, field):
+    # a NaN wavelength used to exit 3 ("step size too large"), and a NaN
+    # pitch to exit 2 with a message about slabs of nan A
+    series_dir = _small_series(phantom_dir, tmp_path, "nonfinite")
+    manifest = json.loads((series_dir / "manifest.json").read_text())
+    (series_dir / "manifest.json").write_text(json.dumps(dict(manifest, **{key: value})))
+    return (["reconstruct", "--series", str(series_dir)],
+            f"{field} must be finite and positive, got {value}")
+
+
+def _evaluate_with_config(phantom_dir, tmp_path, payload, message, no_sites=False):
+    # each used to exit 0: a NaN match_radius matched every pair, a negative
+    # one none, a NaN pitch reported nan pm, and an unknown matching method
+    # passed when there was no traced site to match
+    traced = phantom_dir / "atoms.csv"
+    if no_sites:
+        traced = tmp_path / "traced.csv"
+        traced.write_text(",".join(TRACED_CSV_HEADER) + "\n")
+    cfg = _write_config(tmp_path, "eval.json", payload)
+    return (["evaluate", "--config", cfg, "--traced", str(traced),
+             "--truth", str(phantom_dir / "atoms.csv")], message)
+
+
 @pytest.mark.parametrize("case", [
     _trace_on_a_fractional_nz, _reconstruct_on_a_fractional_seed,
     _evaluate_with_an_unknown_matching, _phantom_with_an_unknown_shape,
+    partial(_trace_on_a_sidecar_pitch, value=math.nan),
+    partial(_trace_on_a_sidecar_pitch, value=math.inf),
+    partial(_reconstruct_on_a_manifest_value, key="lambda_angstrom", value=math.nan,
+            field="wavelength"),
+    partial(_reconstruct_on_a_manifest_value, key="lambda_angstrom", value=math.inf,
+            field="wavelength"),
+    partial(_reconstruct_on_a_manifest_value, key="pitch_angstrom", value=math.nan,
+            field="pitch"),
+    partial(_reconstruct_on_a_manifest_value, key="pitch_angstrom", value=math.inf,
+            field="pitch"),
+    partial(_evaluate_with_config, payload={"match_radius": math.nan},
+            message="match_radius must be finite and positive, got nan"),
+    partial(_evaluate_with_config, payload={"match_radius": -1},
+            message="match_radius must be finite and positive, got -1.0"),
+    partial(_evaluate_with_config, payload={"pitch": math.nan},
+            message="pitch must be finite and positive, got nan"),
+    partial(_evaluate_with_config, payload={"matching": "bogus"}, no_sites=True,
+            message="matching method must be 'greedy' or 'optimal', got 'bogus'"),
 ], ids=["trace-nz-47.5", "reconstruct-seed-1.5", "evaluate-matching-bogus",
-        "phantom-shape-bogus"])
+        "phantom-shape-bogus", "trace-pitch-NaN", "trace-pitch-Infinity",
+        "reconstruct-lambda-NaN", "reconstruct-lambda-Infinity", "reconstruct-pitch-NaN",
+        "reconstruct-pitch-Infinity", "evaluate-radius-NaN", "evaluate-radius--1",
+        "evaluate-pitch-NaN", "evaluate-matching-bogus-no-sites"])
 def test_an_input_error_exits_2_without_making_the_output_directory(
         phantom_dir, tmp_path, capsys, case):
     argv, message = case(phantom_dir, tmp_path)

@@ -30,6 +30,7 @@ from phasetomo.solver import (
     total_variation,
     write_cost_history,
 )
+from rotation_oracle import reference_rotation
 
 PARAMS = interaction_parameter(300.0)
 
@@ -518,14 +519,14 @@ def _forward_only_cost(v, series, cfg, h):
     """The amplitude cost of ``v`` over all tilts, with no update: the score
     the bracket used before it ranked candidates by their own sweeps."""
     from phasetomo.forward import multislice_factors
-    from phasetomo.volume import bin_slices, rotate
+    from phasetomo.volume import bin_slices
 
     plan, pitch = series.plan, series.grid.pitch
     factors = multislice_factors(h, cfg.n_b * pitch, plan.defoci, cfg.anti_alias)
     measured_amplitude = np.sqrt(series.normalized())
     cost = 0.0
     for i, theta in enumerate(plan.tilt_angles):
-        w = bin_slices(rotate(PotentialVolume(v, pitch), theta), cfg.n_b)
+        w = bin_slices(PotentialVolume(reference_rotation(v, theta), pitch), cfg.n_b)
         exit_waves, _ = solver.multislice_forward(w, PARAMS, factors)
         for exit_wave, amp_meas in zip(exit_waves, measured_amplitude[i]):
             diff = amp_meas - np.abs(exit_wave.values)
@@ -652,11 +653,11 @@ def test_step_bracket_search_goes_on_past_a_diverging_largest_step(monkeypatch):
 
 
 def _reference_sweep(u, series, cfg, params, h, stop_above=math.inf, projectors=None):
-    """The sweep through the reference operators: rotate and bin_slices
-    forward, bin_adjoint and rotate_adjoint back, on the (z, y, x) array;
-    ``projectors`` is ignored."""
+    """The sweep through the reference operators: the gather rotation and
+    bin_slices forward, bin_adjoint and the gather adjoint back, on the
+    (z, y, x) array; ``projectors`` is ignored."""
     from phasetomo.forward import multislice_factors
-    from phasetomo.volume import BinnedVolume, bin_adjoint, bin_slices, rotate, rotate_adjoint
+    from phasetomo.volume import BinnedVolume, bin_adjoint, bin_slices
 
     plan, pitch = series.plan, series.grid.pitch
     factors = multislice_factors(h, cfg.n_b * pitch, plan.defoci, cfg.anti_alias)
@@ -665,7 +666,7 @@ def _reference_sweep(u, series, cfg, params, h, stop_above=math.inf, projectors=
     for i, theta in enumerate(plan.tilt_angles):
         if not np.all(np.isfinite(u)):
             raise DivergenceError("step size too large")
-        w = bin_slices(rotate(PotentialVolume(u, pitch), theta), cfg.n_b)
+        w = bin_slices(PotentialVolume(reference_rotation(u, theta), pitch), cfg.n_b)
         exit_waves, intermediates = solver.multislice_forward(w, params, factors)
         for exit_wave, amp_meas in zip(exit_waves, measured_amplitude[i]):
             diff = amp_meas - np.abs(exit_wave.values)
@@ -676,7 +677,7 @@ def _reference_sweep(u, series, cfg, params, h, stop_above=math.inf, projectors=
                      for exit_wave, amp_meas in zip(exit_waves, measured_amplitude[i])]
         grads = solver.backpropagate(residuals, intermediates, w, params, factors)
         g_full = bin_adjoint(BinnedVolume(np.stack(grads), pitch, cfg.n_b), cfg.n_b, u.shape[0])
-        g_vol = rotate_adjoint(g_full, theta).values
+        g_vol = reference_rotation(g_full.values, theta, adjoint=True)
         g_vol *= cfg.step_size
         u -= g_vol
     return cost
