@@ -1,18 +1,7 @@
 """phasetomo: defocused phase-contrast tilt-series simulation, multislice
 reconstruction, and atom tracing for 3D atomic potentials."""
 
-from .fields import (
-    ConfigurationError,
-    GridSpec,
-    TransferFunction,
-    WaveField,
-    apply_ctf,
-    apply_ctf_adjoint,
-    band_limit,
-    forward_fft,
-    inverse_fft,
-    propagate,
-)
+from .fields import ConfigurationError, GridSpec, TransferFunction
 from .forward import (
     AcquisitionPlan,
     TiltSeries,
@@ -25,7 +14,7 @@ from .forward import (
     uniform_tilt_angles,
     write_tilt_series,
 )
-from .gradients import amplitude_cost, backpropagate, residual
+from .gradients import backpropagate, residual
 from .phantom import (
     AtomList,
     GroundTruth,
@@ -54,7 +43,6 @@ from .tracing import (
     classify_species,
     dog_filter,
     find_candidates,
-    find_tetrahedra,
     fit_gaussian_3d,
     score,
     trace_atoms,
@@ -72,7 +60,6 @@ from .volume import (
     read_volume,
     rotate,
     rotate_adjoint,
-    transmittance,
     write_volume,
 )
 

@@ -196,15 +196,15 @@ def cmd_phantom(args) -> int:
         width=cfg["width"],
         d_min=cfg["d_min"],
     )
-    if cfg["shell_thickness"]:
-        g = add_amorphous_shell(
-            g,
-            thickness=cfg["shell_thickness"],
-            bond_length=cfg["bond_length"],
-            seed=cfg["seed"] + 1,
-            d_min=cfg["d_min"],
-            width=cfg["width"],
-        )
+    # called at every thickness so that its size checks always run; 0 adds no atom
+    g = add_amorphous_shell(
+        g,
+        thickness=cfg["shell_thickness"],
+        bond_length=cfg["bond_length"],
+        seed=cfg["seed"] + 1,
+        d_min=cfg["d_min"],
+        width=cfg["width"],
+    )
     if cfg["vacancy_fraction"]:
         g = inject_vacancies(g, cfg["vacancy_fraction"], seed=cfg["seed"] + 2)
     out = _out_dir(args.out)

@@ -1,18 +1,20 @@
-"""Complex 2D wave fields on a sampled lateral grid.
+"""The lateral sampling grid and the spectral factors of the multislice chain.
 
-Provides the unitary Fourier-transform pair, angular-spectrum free-space
-propagation, and the microscope transfer function. All operators here are
-linear and, on their pass band, unitary; adjoints are available either as
-the inverse (propagation) or as conjugate multiplication (transfer
-function).
+Provides the grid (:class:`GridSpec`), the microscope transfer function
+H(q) (:class:`TransferFunction`), the angular-spectrum propagation kernel
+and the circular band mask. :func:`phasetomo.forward.multislice_factors`
+combines them into the slab and exit factors that simulation, the
+forward pass and the backward pass apply; exit waves are plain complex
+arrays. The module also holds the package's shared value checks and
+their errors (:class:`ConfigurationError`, :class:`NonFiniteError`).
 
 Conventions:
     * arrays are indexed ``(y, x)`` with x the fastest axis,
     * spatial frequencies ``q`` are in 1/Angstrom, stored in numpy fft
       order (DC at index 0),
-    * the FFT pair is unitary (``norm="ortho"``) so that the adjoint of
-      the transform equals its inverse and Parseval's identity holds
-      without extra bookkeeping.
+    * the factors multiply spectra of the unitary FFT pair
+      (``norm="ortho"``), so the adjoint of a factor is its complex
+      conjugate and Parseval's identity holds without extra bookkeeping.
 """
 
 from __future__ import annotations
@@ -41,9 +43,15 @@ def _require_positive(value: float, what: str) -> None:
         raise ConfigurationError(f"{what} must be finite and positive, got {value}")
 
 
+def _require_non_negative(value: float, what: str) -> None:
+    """Raise unless ``0 <= value < inf``, which a NaN fails too."""
+    if not 0.0 <= value < np.inf:
+        raise ConfigurationError(f"{what} must be finite and non-negative, got {value}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Lateral sampling grid shared by wave fields and transfer functions.
+    """Lateral sampling grid shared by exit waves and transfer functions.
 
     Parameters
     ----------
@@ -87,29 +95,6 @@ class GridSpec:
 
 
 @dataclass
-class WaveField:
-    """A complex scalar wave sampled on a :class:`GridSpec`."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != self.grid.shape:
-            raise ValueError(
-                f"values shape {self.values.shape} does not match grid {self.grid.shape}"
-            )
-
-    @classmethod
-    def plane_wave(cls, grid: GridSpec, amplitude: complex = 1.0) -> "WaveField":
-        return cls(grid, np.full(grid.shape, amplitude, dtype=np.complex128))
-
-    def power(self) -> float:
-        """Total |psi|^2 over the grid."""
-        return float(np.sum(np.abs(self.values) ** 2))
-
-
-@dataclass
 class TransferFunction:
     """Frequency-domain filter H(q) applied to exit waves.
 
@@ -143,18 +128,6 @@ class TransferFunction:
         return cls(grid, values, aperture_qmax)
 
 
-def forward_fft(f: WaveField) -> np.ndarray:
-    """Unitary 2D DFT of the field, returned in fft order."""
-    _require_finite(f.values)
-    return np.fft.fft2(f.values, norm="ortho")
-
-
-def inverse_fft(spectrum: np.ndarray, grid: GridSpec) -> WaveField:
-    """Inverse of :func:`forward_fft`."""
-    _require_finite(spectrum, "spectrum")
-    return WaveField(grid, np.fft.ifft2(spectrum, norm="ortho"))
-
-
 def propagation_kernel(grid: GridSpec, dz: float) -> np.ndarray:
     """Angular-spectrum factor exp[i 2 pi dz sqrt(1/lambda^2 - |q|^2)].
 
@@ -179,35 +152,3 @@ def band_mask(grid: GridSpec, fraction: float = 2.0 / 3.0) -> np.ndarray:
     """
     qmax = fraction * grid.nyquist
     return grid.q_squared() <= qmax**2
-
-
-def propagate(f: WaveField, dz: float) -> WaveField:
-    """Free-space propagation by ``dz`` Angstrom (negative allowed)."""
-    spectrum = forward_fft(f)
-    spectrum *= propagation_kernel(f.grid, dz)
-    return inverse_fft(spectrum, f.grid)
-
-
-def band_limit(f: WaveField, fraction: float = 2.0 / 3.0) -> WaveField:
-    """Zero all spatial frequencies beyond ``fraction`` of Nyquist."""
-    spectrum = forward_fft(f)
-    spectrum[~band_mask(f.grid, fraction)] = 0.0
-    return inverse_fft(spectrum, f.grid)
-
-
-def apply_ctf(f: WaveField, h: TransferFunction) -> WaveField:
-    """Pointwise spectral multiplication by H(q)."""
-    if h.grid != f.grid:
-        raise ValueError("transfer function grid does not match field grid")
-    spectrum = forward_fft(f)
-    spectrum *= h.values
-    return inverse_fft(spectrum, f.grid)
-
-
-def apply_ctf_adjoint(f: WaveField, h: TransferFunction) -> WaveField:
-    """Adjoint of :func:`apply_ctf`: multiplication by conj(H)."""
-    if h.grid != f.grid:
-        raise ValueError("transfer function grid does not match field grid")
-    spectrum = forward_fft(f)
-    spectrum *= np.conj(h.values)
-    return inverse_fft(spectrum, f.grid)

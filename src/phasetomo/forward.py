@@ -28,7 +28,6 @@ import numpy as np
 from .fields import (
     GridSpec,
     TransferFunction,
-    WaveField,
     _require_finite,
     band_mask,
     propagation_kernel,
@@ -177,7 +176,7 @@ def multislice_forward(
     w: BinnedVolume,
     params: InteractionParams,
     factors: MultisliceFactors,
-) -> tuple[list[WaveField], list[np.ndarray]]:
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Propagate a unit plane wave through the slabs of ``w``.
 
     Per slab m: t_m = exp(i sigma W_m); psi_{m+1} = P_dz(t_m * psi_m),
@@ -185,8 +184,9 @@ def multislice_forward(
     propagation (applied right after the transmittance multiplication).
     Each defocus then yields an exit wave H{P_df(psi_exit)}.
 
-    Returns the per-defocus exit waves and all intermediate waves
-    psi_1..psi_{n+1} (needed by the backward pass).
+    Returns the exit waves, a complex (n_defoci, ny, nx) array with one
+    wave per defocus, and all intermediate waves psi_1..psi_{n+1} (needed
+    by the backward pass).
     """
     ny, nx = w.values.shape[1:]
     grid = factors.grid
@@ -206,13 +206,12 @@ def multislice_forward(
         intermediates.append(psi)
 
     exit_spectra = np.fft.fft2(psi, norm="ortho") * factors.exit_factors
-    exit_waves = [WaveField(grid, e) for e in np.fft.ifft2(exit_spectra, norm="ortho")]
-    return exit_waves, intermediates
+    return np.fft.ifft2(exit_spectra, norm="ortho"), intermediates
 
 
-def intensity(exit_wave: WaveField) -> np.ndarray:
-    """|psi|^2, pointwise."""
-    return np.abs(exit_wave.values) ** 2
+def intensity(psi: np.ndarray) -> np.ndarray:
+    """|psi|^2, pointwise, for exit waves of any shape."""
+    return np.abs(psi) ** 2
 
 
 def _image_rng(seed: int, tilt_index: int, defocus_index: int) -> np.random.Generator:
@@ -277,8 +276,7 @@ def simulate_tilt_series(
         w = project(v, theta, n_b)
         exit_waves, _ = multislice_forward(w, params, factors)
         for j, exit_wave in enumerate(exit_waves):
-            ideal = intensity(exit_wave)
-            images[i, j] = apply_poisson(ideal, dose, grid.pitch, plan.seed, i, j)
+            images[i, j] = apply_poisson(intensity(exit_wave), dose, grid.pitch, plan.seed, i, j)
     return TiltSeries(plan, grid, images)
 
 

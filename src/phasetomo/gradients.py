@@ -1,9 +1,10 @@
-"""Amplitude cost, per-defocus residuals, and the gradient backward pass.
+"""Per-defocus residuals and the gradient backward pass.
 
 The data term compares wave amplitudes, sum ||sqrt(I) - sqrt(I_hat)||^2,
-which suits Poisson-dominated counting noise. Its gradient with respect
-to each slab of projected potential is computed by running the exact
-adjoint of the forward multislice chain over the residual fields.
+which suits Poisson-dominated counting noise; the solver's sweep
+accumulates it tilt by tilt. Its gradient with respect to each slab of projected
+potential is computed by running the exact adjoint of the forward
+multislice chain over the residual waves.
 
 The backward pass takes the same factors value as the forward pass and
 runs its factors in reverse, each replaced by its complex conjugate (the
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import WaveField
 # Not called here (the backward pass conjugates forward's factors); the two
 # names stay importable from this module because perfbench/layers.py wraps them.
 from .fields import band_mask, propagation_kernel  # noqa: F401
@@ -37,30 +37,17 @@ from .volume import BinnedVolume, InteractionParams
 AMPLITUDE_EPS = 1e-12
 
 
-def amplitude_cost(measured: np.ndarray, predicted: np.ndarray) -> float:
-    """sum (sqrt(I) - sqrt(I_hat))^2 over all pixels of the given stacks.
-
-    Both inputs are intensities normalized to unit incident background.
-    """
-    measured = np.asarray(measured, dtype=np.float64)
-    predicted = np.asarray(predicted, dtype=np.float64)
-    if np.any(measured < 0) or np.any(predicted < 0):
-        raise ValueError("intensities must be non-negative")
-    diff = np.sqrt(measured) - np.sqrt(predicted)
-    return float(np.sum(diff * diff))
-
-
-def residual(exit_wave: WaveField, measured_amplitude: np.ndarray) -> np.ndarray:
-    """r = psi - sqrt(I) * psi/|psi|, with the unit-phase factor replaced
-    by 1 wherever |psi| < 1e-12."""
-    psi = exit_wave.values
+def residual(psi: np.ndarray, measured_amplitude: np.ndarray) -> np.ndarray:
+    """r = psi - sqrt(I) * psi/|psi|, pointwise for exit waves ``psi`` of
+    any shape, with the unit-phase factor replaced by 1 wherever
+    |psi| < 1e-12."""
     amp = np.abs(psi)
     unit_phase = np.where(amp < AMPLITUDE_EPS, 1.0 + 0j, psi / np.where(amp < AMPLITUDE_EPS, 1.0, amp))
     return psi - np.asarray(measured_amplitude) * unit_phase
 
 
 def backpropagate(
-    residuals: list[np.ndarray],
+    residuals: np.ndarray,
     intermediates: list[np.ndarray],
     w: BinnedVolume,
     params: InteractionParams,
@@ -71,7 +58,8 @@ def backpropagate(
     ``intermediates`` must be exactly the list returned by
     :func:`phasetomo.forward.multislice_forward` on the same slabs and
     ``factors``; the pass applies the conjugates of those factors, so it
-    is the adjoint of that forward operator.
+    is the adjoint of that forward operator. ``residuals`` holds one
+    residual wave per defocus, shape (n_defoci, ny, nx).
     """
     n_slabs = w.n_slabs
     if len(intermediates) != n_slabs + 1:

@@ -24,6 +24,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import ndtr  # standard normal CDF
 
+from .fields import _require_non_negative, _require_positive
 from .volume import PotentialVolume, read_volume, write_volume
 
 SPECIES = ("light", "heavy")
@@ -177,8 +178,17 @@ def make_crystal(
     Lattice sites sit at ``(i + 1/2) * lattice_const`` per axis. The
     species pattern is "heavy", "light", or "alternating" (parity of
     i+j+k). ``seed`` only matters for downstream edits; the lattice
-    itself is deterministic.
+    itself is deterministic. ``pitch``, ``lattice_const``, ``width``,
+    ``d_min`` and a given ``radius`` must be finite and positive, and
+    ``margin_voxels`` finite and non-negative.
     """
+    _require_positive(pitch, "pitch")
+    _require_positive(lattice_const, "lattice_const")
+    _require_positive(width, "width")
+    _require_positive(d_min, "d_min")
+    _require_non_negative(margin_voxels, "margin_voxels")
+    if radius is not None:
+        _require_positive(radius, "radius")
     if lattice_const < d_min:
         raise ValueError("lattice constant below the minimum atom distance")
     size = extent * pitch
@@ -242,12 +252,16 @@ def add_amorphous_shell(
     cylinder band, following the core geometry), rejected when closer
     than ``d_min`` to any atom. Insertion stops once the mean
     nearest-neighbor distance of the shell atoms drops to
-    ``bond_length``.
+    ``bond_length``. ``thickness`` (the manifest's ``shell_thickness``)
+    must be finite and non-negative; ``bond_length``, ``d_min`` and
+    ``width`` finite and positive.
     """
+    _require_non_negative(thickness, "shell_thickness")
+    _require_positive(bond_length, "bond_length")
+    _require_positive(d_min, "d_min")
+    _require_positive(width, "width")
     if thickness == 0.0:
         return GroundTruth(g.atoms, g.shape, g.pitch, dict(g.metadata))
-    if thickness < 0.0:
-        raise ValueError("shell thickness must be non-negative")
     nz, ny, nx = g.shape
     pitch = g.pitch
     size = nx * pitch

@@ -322,13 +322,13 @@ def _sweep(
             matrix = projectors[theta]
             w = BinnedVolume(from_rows(matrix @ rows, nx), pitch, cfg.n_b)
             exit_waves, intermediates = multislice_forward(w, params, factors)
+            # one sum per defocus: a sum over the whole stack would round differently
             for exit_wave, amp_meas in zip(exit_waves, measured_amplitude[i]):
-                diff = amp_meas - np.abs(exit_wave.values)
+                diff = amp_meas - np.abs(exit_wave)
                 cost += float(np.sum(diff * diff))
             if cost > stop_above:
                 return cost
-            residuals = [residual(exit_wave, amp_meas)
-                         for exit_wave, amp_meas in zip(exit_waves, measured_amplitude[i])]
+            residuals = residual(exit_waves, measured_amplitude[i])
             grads = backpropagate(residuals, intermediates, w, params, factors)
             step = matrix.T @ to_rows(np.stack(grads))  # a fresh array, scaled in place
             step *= cfg.step_size

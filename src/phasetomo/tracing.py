@@ -1,5 +1,6 @@
 """Atom tracing: peak detection, iterative Gaussian refinement, species
-classification, and scoring against a known atom list.
+classification, scoring against a known atom list, and the traced-site
+CSV format.
 
 The pipeline mirrors established practice for atomic-resolution volumes:
 difference-of-Gaussians filtering proposes candidate sites at local
@@ -611,25 +612,6 @@ def score(traced: TracedAtoms, truth: AtomList, match_radius: float = 1.0,
         n_traced=len(traced),
         n_matched=n_matched,
     )
-
-
-def find_tetrahedra(atoms: AtomList, bond: float = 1.6, tol: float = 0.375) -> list[tuple[int, tuple[int, ...]]]:
-    """Clusters of a center atom with >= 4 neighbors at bond +- tol.
-
-    Emits (center index, 4 nearest in-range neighbor indices) per
-    qualifying atom.
-    """
-    pos = atoms.positions
-    n = len(pos)
-    clusters = []
-    for i in range(n):
-        d = np.sqrt(np.sum((pos - pos[i]) ** 2, axis=1))
-        d[i] = np.inf
-        in_range = np.nonzero((d >= bond - tol) & (d <= bond + tol))[0]
-        if len(in_range) >= 4:
-            nearest = in_range[np.argsort(d[in_range])][:4]
-            clusters.append((i, tuple(int(k) for k in sorted(nearest))))
-    return clusters
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ The module provides:
     * slice binning (summing groups of consecutive slices) and its
       adjoint with an exact group sum, which the projector's binning is
       tested against,
-    * the projected-potential -> transmittance map ``t = exp(i sigma W)``,
     * the relativistic electron wavelength / interaction constant,
     * the raw+JSON volume file format.
 
@@ -37,7 +36,7 @@ from pathlib import Path
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .fields import ConfigurationError, GridSpec, WaveField, _require_finite, _require_positive
+from .fields import ConfigurationError, _require_positive
 
 # CODATA 2018
 _PLANCK_H = 6.62607015e-34        # J s
@@ -122,8 +121,7 @@ class InteractionParams:
 
 def electron_wavelength(accel_voltage_kv: float) -> float:
     """Relativistic de Broglie wavelength in Angstrom for a kV beam."""
-    if accel_voltage_kv <= 0.0:
-        raise ConfigurationError("accelerating voltage must be positive")
+    _require_positive(accel_voltage_kv, "accel_voltage_kv")
     e_kev = accel_voltage_kv
     return _HC_KEV_A / np.sqrt(e_kev * (2.0 * _M0C2_KEV + e_kev))
 
@@ -415,13 +413,6 @@ def rotate_adjoint(v: PotentialVolume, theta_deg: float) -> PotentialVolume:
     matrix = projector(v.nz, v.nx, theta_deg, 1)
     return PotentialVolume(
         np.ascontiguousarray(from_rows(matrix.T @ to_rows(v.values), v.nx)), v.pitch)
-
-
-def transmittance(slab: np.ndarray, params: InteractionParams, grid: GridSpec) -> WaveField:
-    """Per-slab phase screen t = exp(i sigma W); |t| = 1 for real W."""
-    slab = np.asarray(slab)
-    _require_finite(slab, "slab")
-    return WaveField(grid, np.exp(1j * params.sigma * slab))
 
 
 # ---------------------------------------------------------------------------

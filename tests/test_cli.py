@@ -73,6 +73,34 @@ def test_phantom_vacancy_fraction_honored(tmp_path):
     assert n_full - n_vac == round(0.05 * n_full)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("width", math.nan, "width must be finite and positive, got nan"),
+    ("width", -0.5, "width must be finite and positive, got -0.5"),
+    ("width", 0.0, "width must be finite and positive, got 0.0"),
+    ("radius", math.nan, "radius must be finite and positive, got nan"),
+    ("margin_voxels", math.nan, "margin_voxels must be finite and non-negative, got nan"),
+    ("margin_voxels", -1.0, "margin_voxels must be finite and non-negative, got -1.0"),
+    ("d_min", math.nan, "d_min must be finite and positive, got nan"),
+    ("shell_thickness", math.nan, "shell_thickness must be finite and non-negative, got nan"),
+    ("bond_length", math.nan, "bond_length must be finite and positive, got nan"),
+    ("lattice_const", math.nan, "lattice_const must be finite and positive, got nan"),
+    ("pitch", math.nan, "pitch must be finite and positive, got nan"),
+    ("pitch", math.inf, "pitch must be finite and positive, got inf"),
+], ids=["width-NaN", "width--0.5", "width-0", "radius-NaN", "margin_voxels-NaN",
+        "margin_voxels--1", "d_min-NaN", "shell_thickness-NaN", "bond_length-NaN",
+        "lattice_const-NaN", "pitch-NaN", "pitch-Infinity"])
+def test_phantom_rejects_an_impossible_size_before_making_the_output_directory(
+        tmp_path, capsys, key, value, message):
+    # each used to exit 0 with an empty, zero or unchecked phantom, or to
+    # exit 2 naming no key, one leaving a lone atoms.csv in --out
+    cfg = _write_config(tmp_path, "bad.json", {"extent": 16, "lattice_const": 2.0,
+                                               key: value})
+    out = tmp_path / "out"
+    assert main(["phantom", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = _write_config(tmp_path, "bad.json", {"extent": 16, "latice_const": 2.0})
     assert main(["phantom", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
@@ -520,6 +548,15 @@ def _reconstruct_on_a_manifest_value(phantom_dir, tmp_path, key, value, field):
             f"{field} must be finite and positive, got {value}")
 
 
+def _simulate_at_a_voltage(phantom_dir, tmp_path, value):
+    # used to exit 2 naming sigma, a constant derived from the voltage
+    cfg = _write_config(tmp_path, "sim.json", {
+        "phantom_dir": str(phantom_dir), "n_tilts": 2, "accel_voltage_kv": value,
+    })
+    return (["simulate", "--config", cfg],
+            f"accel_voltage_kv must be finite and positive, got {value}")
+
+
 def _evaluate_with_config(phantom_dir, tmp_path, payload, message, no_sites=False):
     # each used to exit 0: a NaN match_radius matched every pair, a negative
     # one none, a NaN pitch reported nan pm, and an unknown matching method
@@ -554,11 +591,14 @@ def _evaluate_with_config(phantom_dir, tmp_path, payload, message, no_sites=Fals
             message="pitch must be finite and positive, got nan"),
     partial(_evaluate_with_config, payload={"matching": "bogus"}, no_sites=True,
             message="matching method must be 'greedy' or 'optimal', got 'bogus'"),
+    partial(_simulate_at_a_voltage, value=math.nan),
+    partial(_simulate_at_a_voltage, value=math.inf),
 ], ids=["trace-nz-47.5", "reconstruct-seed-1.5", "evaluate-matching-bogus",
         "phantom-shape-bogus", "trace-pitch-NaN", "trace-pitch-Infinity",
         "reconstruct-lambda-NaN", "reconstruct-lambda-Infinity", "reconstruct-pitch-NaN",
         "reconstruct-pitch-Infinity", "evaluate-radius-NaN", "evaluate-radius--1",
-        "evaluate-pitch-NaN", "evaluate-matching-bogus-no-sites"])
+        "evaluate-pitch-NaN", "evaluate-matching-bogus-no-sites",
+        "simulate-voltage-NaN", "simulate-voltage-Infinity"])
 def test_an_input_error_exits_2_without_making_the_output_directory(
         phantom_dir, tmp_path, capsys, case):
     argv, message = case(phantom_dir, tmp_path)

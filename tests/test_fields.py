@@ -1,20 +1,12 @@
-"""Wave-field arithmetic: FFT contract, propagation, transfer function."""
+"""Grid, transfer function, and the spectral factors the multislice chain
+applies: the propagation kernel, the band mask and the exit factors."""
 
 import numpy as np
 import pytest
 
-from phasetomo import (
-    ConfigurationError,
-    GridSpec,
-    TransferFunction,
-    WaveField,
-    apply_ctf,
-    apply_ctf_adjoint,
-    band_limit,
-    forward_fft,
-    inverse_fft,
-    propagate,
-)
+from phasetomo import ConfigurationError, GridSpec, TransferFunction, multislice_factors
+from phasetomo.fields import band_mask, propagation_kernel
+from field_oracle import filtered
 
 LAMBDA_300KV = 0.0196875  # Angstrom
 
@@ -25,7 +17,7 @@ def _grid(nx=8, ny=8, pitch=0.5, wavelength=LAMBDA_300KV):
 
 def _random_field(grid, seed=0):
     rng = np.random.default_rng(seed)
-    return WaveField(grid, rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape))
+    return rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
 
 
 def test_grid_validation():
@@ -44,92 +36,59 @@ def test_grid_frequency_range():
     assert grid.nyquist == pytest.approx(1.0)
 
 
-def test_fft_constant_field_dc_only():
-    grid = _grid(4, 4)
-    spectrum = forward_fft(WaveField(grid, np.ones((4, 4))))
-    assert spectrum[0, 0] == pytest.approx(4.0)  # nx*ny/sqrt(nx*ny)
-    off_dc = spectrum.copy()
-    off_dc[0, 0] = 0.0
-    assert np.max(np.abs(off_dc)) < 1e-14
-
-
-def test_fft_delta_is_flat():
-    grid = _grid(8, 8)
-    values = np.zeros((8, 8))
-    values[0, 0] = 1.0
-    spectrum = forward_fft(WaveField(grid, values))
-    mags = np.abs(spectrum)
-    assert np.allclose(mags, mags[0, 0], rtol=1e-13)
-
-
-def test_fft_parseval_and_roundtrip():
-    grid = _grid()
-    f = _random_field(grid, 1)
-    spectrum = forward_fft(f)
-    assert np.sum(np.abs(f.values) ** 2) == pytest.approx(
-        np.sum(np.abs(spectrum) ** 2), rel=1e-10
-    )
-    back = inverse_fft(spectrum, grid)
-    assert np.max(np.abs(back.values - f.values)) < 1e-12 * np.max(np.abs(f.values))
-
-
-def test_fft_rejects_non_finite():
-    grid = _grid()
-    values = np.ones(grid.shape, dtype=complex)
-    values[3, 3] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        forward_fft(WaveField(grid, values))
-
-
 def test_propagate_zero_distance_is_identity():
-    grid = _grid()
-    f = _random_field(grid, 2)
-    out = propagate(f, 0.0)
-    assert np.allclose(out.values, f.values, atol=1e-12)
+    # the whole grid lies inside 1/lambda, so K(0) is 1 at every frequency
+    assert np.array_equal(propagation_kernel(_grid(), 0.0), np.ones((8, 8)))
 
 
 def test_propagate_inverse_pair():
     grid = _grid()
-    f = _random_field(grid, 3)
-    out = propagate(propagate(f, 123.4), -123.4)
-    assert np.max(np.abs(out.values - f.values)) < 1e-10 * np.max(np.abs(f.values))
+    product = propagation_kernel(grid, 123.4) * propagation_kernel(grid, -123.4)
+    assert np.max(np.abs(product - 1.0)) < 1e-12
 
 
 def test_propagate_plane_wave_phase():
+    # a plane wave has only the q = 0 component, so it picks up K(dz)[0, 0]
     grid = _grid()
-    f = WaveField.plane_wave(grid)
+    plane = np.ones(grid.shape, dtype=complex)
     for dz in (17.0, -350.0, 1e4):
-        out = propagate(f, dz)
+        kernel = propagation_kernel(grid, dz)
         expected = np.exp(2j * np.pi * dz / grid.wavelength)
-        assert np.allclose(out.values, expected, atol=1e-9)
+        assert kernel[0, 0] == pytest.approx(expected, abs=1e-9)
+        assert np.allclose(filtered(plane, kernel), expected, atol=1e-9)
 
 
 def test_propagate_energy_conservation():
     grid = GridSpec(64, 64, 0.5, LAMBDA_300KV)
     f = _random_field(grid, 4)  # whole grid sits far below 1/lambda
     for dz in (1.0, -4321.0, 1e4):
-        out = propagate(f, dz)
-        assert out.power() == pytest.approx(f.power(), rel=1e-9)
+        kernel = propagation_kernel(grid, dz)
+        assert np.max(np.abs(np.abs(kernel) - 1.0)) < 1e-12
+        out = filtered(f, kernel)
+        assert np.sum(np.abs(out) ** 2) == pytest.approx(np.sum(np.abs(f) ** 2), rel=1e-9)
+    # beyond 1/lambda (a pitch below lambda/2) the evanescent waves are zeroed
+    fine = GridSpec(8, 8, 0.005, LAMBDA_300KV)
+    band = fine.q_squared() < 1.0 / LAMBDA_300KV**2
+    kernel = propagation_kernel(fine, 250.0)
+    assert 0 < np.count_nonzero(band) < band.size
+    assert np.all(kernel[~band] == 0)
+    assert np.max(np.abs(np.abs(kernel[band]) - 1.0)) < 1e-12
 
 
 def test_propagate_group_property():
     grid = GridSpec(64, 64, 0.5, LAMBDA_300KV)
-    f = _random_field(grid, 5)
     a, b = 321.5, -77.25
-    lhs = propagate(propagate(f, a), b)
-    rhs = propagate(f, a + b)
-    assert np.max(np.abs(lhs.values - rhs.values)) < 1e-9 * np.max(np.abs(rhs.values))
+    lhs = propagation_kernel(grid, a) * propagation_kernel(grid, b)
+    rhs = propagation_kernel(grid, a + b)
+    assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
 def test_propagate_adjoint_is_negative_distance():
+    # the backward pass applies conj(K(dz)); that is propagation by -dz
     grid = _grid(16, 16)
-    x = _random_field(grid, 6)
-    y = _random_field(grid, 7)
-    dz = 250.0
-    lhs = np.vdot(y.values, propagate(x, dz).values)
-    rhs = np.vdot(propagate(y, -dz).values, x.values)
-    bound = 1e-9 * np.linalg.norm(x.values) * np.linalg.norm(y.values)
-    assert abs(lhs - rhs) <= bound
+    for dz in (250.0, -77.25, 1e4):
+        conj = np.conj(propagation_kernel(grid, dz))
+        assert np.max(np.abs(conj - propagation_kernel(grid, -dz))) <= 1e-15
 
 
 def test_transfer_function_validation():
@@ -141,52 +100,52 @@ def test_transfer_function_validation():
 
 
 def test_apply_ctf_identity():
+    # with H == 1 each exit factor is the defocus kernel alone
     grid = _grid()
-    f = _random_field(grid, 8)
-    out = apply_ctf(f, TransferFunction.identity(grid))
-    assert np.allclose(out.values, f.values, atol=1e-12)
+    h = TransferFunction.identity(grid)
+    assert np.array_equal(h.values, np.ones(grid.shape))
+    factors = multislice_factors(h, 0.5, (250.0, 1000.0))
+    for exit_factor, df in zip(factors.exit_factors, (250.0, 1000.0)):
+        assert np.array_equal(exit_factor, propagation_kernel(grid, df))
 
 
 def test_apply_ctf_aperture_kills_out_of_band_tone():
     grid = _grid(16, 16)
-    qy, qx = grid.frequency_grids()
     # pure tone at the highest x frequency, well beyond a 0.3 cutoff
     x = np.arange(16)
     tone = np.exp(2j * np.pi * 0.5 * x)[None, :] * np.ones((16, 1))
-    f = WaveField(grid, tone)
     h = TransferFunction.identity(grid, aperture_qmax=0.3)
-    out = apply_ctf(f, h)
-    assert np.max(np.abs(out.values)) < 1e-12
+    exit_factor = multislice_factors(h, 0.5, (250.0,)).exit_factors[0]
+    assert np.max(np.abs(filtered(tone, exit_factor))) < 1e-12
 
 
 def test_apply_ctf_adjoint_identity():
+    # <y, F^-1 E F x> = <F^-1 conj(E) F y, x> for an exit factor E = P_df H
     rng = np.random.default_rng(9)
     grid = _grid(16, 16)
     mag = rng.uniform(0, 1, grid.shape)
     phase = rng.uniform(0, 2 * np.pi, grid.shape)
     h = TransferFunction(grid, mag * np.exp(1j * phase))
+    exit_factor = multislice_factors(h, 0.5, (450.0,)).exit_factors[0]
     x = _random_field(grid, 10)
     y = _random_field(grid, 11)
-    lhs = np.vdot(y.values, apply_ctf(x, h).values)
-    rhs = np.vdot(apply_ctf_adjoint(y, h).values, x.values)
-    bound = 1e-10 * np.linalg.norm(x.values) * np.linalg.norm(y.values)
+    lhs = np.vdot(y, filtered(x, exit_factor))
+    rhs = np.vdot(filtered(y, np.conj(exit_factor)), x)
+    bound = 1e-10 * np.linalg.norm(x) * np.linalg.norm(y)
     assert abs(lhs - rhs) <= bound
-
-
-def test_apply_ctf_grid_mismatch():
-    f = _random_field(_grid(8, 8), 12)
-    h = TransferFunction.identity(_grid(16, 16))
-    with pytest.raises(ValueError, match="grid"):
-        apply_ctf(f, h)
 
 
 def test_band_limit_removes_high_frequencies():
     grid = _grid(12, 12)
-    f = _random_field(grid, 13)
-    out = band_limit(f, fraction=2.0 / 3.0)
-    spectrum = forward_fft(out)
+    mask = band_mask(grid, fraction=2.0 / 3.0)
     outside = grid.q_squared() > (2.0 / 3.0 * grid.nyquist) ** 2
+    assert np.array_equal(mask, ~outside)
+    # the anti-aliased slab factor is the kernel on the band and 0 beyond it
+    kernel = propagation_kernel(grid, 0.5)
+    slab_factor = multislice_factors(TransferFunction.identity(grid), 0.5, (250.0,)).slab_factor
+    assert np.array_equal(slab_factor, kernel * mask)
+    plain = multislice_factors(TransferFunction.identity(grid), 0.5, (250.0,), anti_alias=False)
+    assert np.array_equal(plain.slab_factor, kernel)
+    out = filtered(_random_field(grid, 13), slab_factor)
+    spectrum = np.fft.fft2(out, norm="ortho")
     assert np.max(np.abs(spectrum[outside])) < 1e-13
-    # projection: idempotent
-    again = band_limit(out, fraction=2.0 / 3.0)
-    assert np.allclose(again.values, out.values, atol=1e-12)

@@ -1,4 +1,5 @@
-"""Forward model: multislice chain, intensity, Poisson noise, series I/O."""
+"""Forward model: multislice chain and its grid checks, intensity, Poisson noise,
+series I/O."""
 
 import math
 
@@ -11,21 +12,17 @@ from phasetomo import (
     GridSpec,
     PotentialVolume,
     TransferFunction,
-    WaveField,
-    apply_ctf,
     apply_poisson,
-    band_limit,
     intensity,
     interaction_parameter,
     multislice_factors,
     multislice_forward,
-    propagate,
     read_tilt_series,
     simulate_tilt_series,
-    transmittance,
     uniform_tilt_angles,
     write_tilt_series,
 )
+from field_oracle import apply_ctf, band_limit, propagate, transmittance
 from rotation_oracle import reference_rotation
 
 PARAMS = interaction_parameter(300.0)
@@ -44,8 +41,8 @@ def test_empty_volume_gives_unit_intensity():
     exit_waves, intermediates = multislice_forward(
         w, PARAMS, multislice_factors(_identity_h(), w.slab_thickness, (250.0, 1000.0)))
     assert len(intermediates) == 4
-    for e in exit_waves:
-        assert np.allclose(intensity(e), 1.0, atol=1e-12)
+    assert exit_waves.shape == (2, 16, 16)
+    assert np.allclose(intensity(exit_waves), 1.0, atol=1e-12)
 
 
 def test_unitarity_of_noiseless_chain():
@@ -125,22 +122,49 @@ def test_multislice_factors_match_field_oracles():
         assert err <= 1e-12 * np.max(np.abs(expected))
 
     for m in range(w.n_slabs):
-        t_psi = transmittance(w.values[m], PARAMS, grid).values * intermediates[m]
-        slab = band_limit(propagate(WaveField(grid, t_psi), w.slab_thickness))
-        assert_close(intermediates[m + 1], slab.values)
-    psi_exit = WaveField(grid, intermediates[-1])
-    assert len(exit_waves) == len(defoci)
+        t_psi = transmittance(w.values[m], PARAMS.sigma) * intermediates[m]
+        slab = band_limit(propagate(t_psi, grid, w.slab_thickness), grid)
+        assert_close(intermediates[m + 1], slab)
+    psi_exit = intermediates[-1]
+    assert exit_waves.shape == (len(defoci),) + grid.shape
     for exit_wave, df in zip(exit_waves, defoci):
-        assert_close(exit_wave.values, apply_ctf(propagate(psi_exit, df), h).values)
+        assert_close(exit_wave, apply_ctf(propagate(psi_exit, grid, df), h))
+
+
+def _simulate_with_h_of_another_grid():
+    v = PotentialVolume(np.zeros((16, 16, 16)), 0.5)
+    simulate_tilt_series(v, AcquisitionPlan((0.0,), (250.0,)), PARAMS, 1, _identity_h(8))
+
+
+def _forward_with_factors_of_another_grid():
+    w = BinnedVolume(np.zeros((2, 16, 16)), 0.5, 1)
+    multislice_forward(w, PARAMS, multislice_factors(_identity_h(8), 0.5, (250.0,)))
+
+
+def _forward_with_another_wavelength():
+    w = BinnedVolume(np.zeros((2, 16, 16)), 0.5, 1)
+    multislice_forward(w, interaction_parameter(200.0),
+                       multislice_factors(_identity_h(), 0.5, (250.0,)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (_simulate_with_h_of_another_grid, "transfer function grid does not match volume"),
+    (_forward_with_factors_of_another_grid, "factors grid does not match volume slabs"),
+    (_forward_with_another_wavelength,
+     "grid wavelength does not match interaction parameters"),
+], ids=["simulate-h-grid", "forward-factors-grid", "forward-wavelength"])
+def test_operands_built_for_another_grid_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_intensity_basics():
-    grid = _grid(4)
-    assert np.allclose(intensity(WaveField.plane_wave(grid)), 1.0)
-    assert np.allclose(intensity(WaveField(grid, 1j * np.ones((4, 4)))), 1.0)
+    assert np.allclose(intensity(np.ones((4, 4), dtype=complex)), 1.0)
+    assert np.allclose(intensity(1j * np.ones((4, 4))), 1.0)
     rng = np.random.default_rng(3)
-    f = WaveField(grid, rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    assert np.sum(intensity(f)) == pytest.approx(np.sum(np.abs(f.values) ** 2))
+    f = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+    assert intensity(f).shape == (2, 4, 4)
+    assert np.sum(intensity(f)) == pytest.approx(np.sum(np.abs(f) ** 2))
 
 
 def test_poisson_infinite_dose_passthrough():
@@ -234,7 +258,7 @@ def test_simulate_builds_one_projector_per_tilt_and_matches_rotate_then_bin(monk
     for i, theta in enumerate(plan.tilt_angles):
         rotated = PotentialVolume(reference_rotation(v.values, theta), v.pitch)
         exit_waves, _ = multislice_forward(bin_slices(rotated, 3), PARAMS, factors)
-        ref = np.stack([intensity(e) for e in exit_waves])
+        ref = intensity(exit_waves)
         # the projector rounds differently from gather passes then bin_slices
         np.testing.assert_allclose(images[i], ref, rtol=1e-12, atol=0)
 

@@ -529,7 +529,7 @@ def _forward_only_cost(v, series, cfg, h):
         w = bin_slices(PotentialVolume(reference_rotation(v, theta), pitch), cfg.n_b)
         exit_waves, _ = solver.multislice_forward(w, PARAMS, factors)
         for exit_wave, amp_meas in zip(exit_waves, measured_amplitude[i]):
-            diff = amp_meas - np.abs(exit_wave.values)
+            diff = amp_meas - np.abs(exit_wave)
             cost += float(np.sum(diff * diff))
     return cost
 
@@ -621,8 +621,8 @@ def test_losing_sweep_stops_at_the_first_tilt_above_the_best(monkeypatch):
     solver._outer_iteration(loser, series, cfg, PARAMS, h, stop_above=best)
     assert loser.cost_history == [running[stop]]
     assert len(calls["multislice_forward"]) == stop + 1
-    # tilts before the stop form one residual per defocus; the stop tilt none
-    assert len(calls["residual"]) == 2 * stop
+    # each tilt before the stop forms its residuals in one call; the stop tilt none
+    assert len(calls["residual"]) == stop
     assert len(calls["backpropagate"]) == stop
     assert calls["apply_prox"] == [] and loser.k == 0
 
@@ -669,12 +669,11 @@ def _reference_sweep(u, series, cfg, params, h, stop_above=math.inf, projectors=
         w = bin_slices(PotentialVolume(reference_rotation(u, theta), pitch), cfg.n_b)
         exit_waves, intermediates = solver.multislice_forward(w, params, factors)
         for exit_wave, amp_meas in zip(exit_waves, measured_amplitude[i]):
-            diff = amp_meas - np.abs(exit_wave.values)
+            diff = amp_meas - np.abs(exit_wave)
             cost += float(np.sum(diff * diff))
         if cost > stop_above:
             return cost
-        residuals = [solver.residual(exit_wave, amp_meas)
-                     for exit_wave, amp_meas in zip(exit_waves, measured_amplitude[i])]
+        residuals = solver.residual(exit_waves, measured_amplitude[i])
         grads = solver.backpropagate(residuals, intermediates, w, params, factors)
         g_full = bin_adjoint(BinnedVolume(np.stack(grads), pitch, cfg.n_b), cfg.n_b, u.shape[0])
         g_vol = reference_rotation(g_full.values, theta, adjoint=True)

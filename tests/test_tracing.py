@@ -1,5 +1,5 @@
 """Tracing: DoG detection, Gaussian fits, refinement loop, classification,
-scoring, tetrahedra."""
+scoring."""
 
 import dataclasses
 import math
@@ -15,7 +15,6 @@ from phasetomo import (
     classify_species,
     dog_filter,
     find_candidates,
-    find_tetrahedra,
     fit_gaussian_3d,
     render_potential,
     score,
@@ -536,42 +535,3 @@ def test_score_empty_truth_errors():
     traced = _traced_from(_truth([[5.0, 5.0, 5.0]]))
     with pytest.raises(ValueError, match="empty"):
         score(traced, AtomList.empty())
-
-
-# ---------------------------------------------------------------------------
-# tetrahedra
-# ---------------------------------------------------------------------------
-
-def _tetrahedron_atoms(bond=1.6, extra=None):
-    dirs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
-    center = np.array([8.0, 8.0, 8.0])
-    positions = [center] + [center + bond * d for d in dirs]
-    if extra is not None:
-        positions.append(center + np.asarray(extra))
-    return _truth(positions)
-
-
-def test_tetrahedron_detected():
-    atoms = _tetrahedron_atoms()
-    clusters = find_tetrahedra(atoms, bond=1.6, tol=0.375)
-    centers = [c for c, _ in clusters]
-    assert 0 in centers
-    cluster = dict(clusters)[0]
-    assert cluster == (1, 2, 3, 4)
-
-
-def test_isolated_atom_no_tetrahedron():
-    atoms = _truth([[8.0, 8.0, 8.0], [14.0, 14.0, 14.0]])
-    assert find_tetrahedra(atoms) == []
-
-
-def test_out_of_range_corner_excluded():
-    # 2.1 A > 1.6 + 0.375 = 1.975: the fifth neighbor never joins, and a
-    # center with only three in-range corners is not emitted
-    dirs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1]]) / np.sqrt(3)
-    center = np.array([8.0, 8.0, 8.0])
-    positions = [center] + [center + 1.6 * d for d in dirs]
-    positions.append(center + np.array([0, 0, 2.1]))
-    atoms = _truth(positions)
-    clusters = find_tetrahedra(atoms, bond=1.6, tol=0.375)
-    assert all(c != 0 for c, _ in clusters)

@@ -1,11 +1,10 @@
-"""Volume operators: rotation, binning, transmittance, constants, I/O."""
+"""Volume operators: rotation, binning, interaction constants, I/O."""
 
 import numpy as np
 import pytest
 
 from phasetomo import (
     BinnedVolume,
-    GridSpec,
     PotentialVolume,
     bin_adjoint,
     bin_slices,
@@ -16,7 +15,6 @@ from phasetomo import (
     read_volume,
     rotate,
     rotate_adjoint,
-    transmittance,
     write_volume,
 )
 from phasetomo.forward import uniform_tilt_angles
@@ -397,41 +395,8 @@ def test_row_layout_round_trip_copies_once():
 
 
 # ---------------------------------------------------------------------------
-# transmittance and interaction constants
+# interaction constants
 # ---------------------------------------------------------------------------
-
-def _grid(n=4):
-    return GridSpec(n, n, 0.5, electron_wavelength(300.0))
-
-
-def test_transmittance_zero_potential():
-    params = interaction_parameter(300.0)
-    t = transmittance(np.zeros((4, 4)), params, _grid())
-    assert np.allclose(t.values, 1.0)
-
-
-def test_transmittance_quarter_wave():
-    params = interaction_parameter(300.0)
-    slab = np.zeros((4, 4))
-    slab[1, 2] = (np.pi / 2) / params.sigma
-    t = transmittance(slab, params, _grid())
-    assert t.values[1, 2] == pytest.approx(1j, abs=1e-12)
-
-
-def test_transmittance_unimodular():
-    rng = np.random.default_rng(12)
-    params = interaction_parameter(300.0)
-    t = transmittance(rng.normal(0, 200.0, (4, 4)), params, _grid())
-    assert np.max(np.abs(np.abs(t.values) - 1.0)) < 1e-14
-
-
-def test_transmittance_rejects_non_finite():
-    params = interaction_parameter(300.0)
-    slab = np.zeros((4, 4))
-    slab[0, 0] = np.inf
-    with pytest.raises(ValueError, match="non-finite"):
-        transmittance(slab, params, _grid())
-
 
 def test_wavelength_300kv():
     assert electron_wavelength(300.0) == pytest.approx(0.0197, rel=5e-3)
