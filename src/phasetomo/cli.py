@@ -8,6 +8,9 @@ phantom and simulate take --seed. A config file holds one JSON object,
 and each value must be of its key's kind (see _load_config); any other
 config exits 2. The output directory is made just before a command's
 first write, so a run that fails before then (exit 2 or 3) leaves none.
+A reconstruct or sweep run with no step_size records what the step
+bracket tried and picked in its run_manifest.json (see
+phasetomo.solver.bracket_step_size).
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical failure.
 """
@@ -242,13 +245,17 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _reconstruct_once(series: TiltSeries, cfg: dict, out: Path, tag: str = "") -> None:
+def _reconstruct_once(series: TiltSeries, cfg: dict, out: Path, tag: str = "") -> dict:
+    """Reconstruct and write the volume and cost history; returns the
+    run's report, which holds ``step_bracket`` for a bracketed run."""
     h = TransferFunction.identity(series.grid, cfg["aperture_qmax"])
     solver_cfg = SolverConfig(**{key: cfg[key] for key in SOLVER_KEYS})
-    volume, history = reconstruct(series, solver_cfg, h=h)
+    report: dict = {}
+    volume, history = reconstruct(series, solver_cfg, h=h, report=report)
     _out_dir(out)
     write_volume(volume, out / f"reconstruction{tag}.raw")
     write_cost_history(history, out / f"cost{tag}.csv")
+    return report
 
 
 def cmd_reconstruct(args) -> int:
@@ -256,8 +263,8 @@ def cmd_reconstruct(args) -> int:
     if not cfg["series_dir"]:
         raise ConfigError("reconstruct needs 'series_dir'")
     out = Path(args.out)
-    _reconstruct_once(read_tilt_series(cfg["series_dir"]), cfg, out)
-    _write_manifest(out, "reconstruct", cfg)
+    report = _reconstruct_once(read_tilt_series(cfg["series_dir"]), cfg, out)
+    _write_manifest(out, "reconstruct", cfg, report)
     print(f"reconstruct: wrote {out / 'reconstruction.raw'}")
     return EXIT_OK
 
@@ -268,9 +275,12 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs 'series_dir'")
     out = Path(args.out)
     series = read_tilt_series(cfg["series_dir"])
+    brackets = []
     for weight in cfg["reg_weights"]:
-        _reconstruct_once(series, dict(cfg, reg_weight=weight), out, f"_w{weight:g}")
-    _write_manifest(out, "sweep", cfg)
+        report = _reconstruct_once(series, dict(cfg, reg_weight=weight), out, f"_w{weight:g}")
+        if "step_bracket" in report:
+            brackets.append({"reg_weight": weight, **report["step_bracket"]})
+    _write_manifest(out, "sweep", cfg, {"step_brackets": brackets} if brackets else None)
     print(f"sweep: {len(cfg['reg_weights'])} reconstructions -> {out}")
     return EXIT_OK
 

@@ -172,11 +172,22 @@ def multislice_factors(
     return MultisliceFactors(h.grid, slab_thickness, slab_factor, exit_factors)
 
 
+@dataclass(frozen=True, eq=False)
+class MultisliceIntermediates:
+    """What the backward pass needs of one forward pass: ``waves``, the
+    list of waves psi_1..psi_{n+1} entering each slab and leaving the
+    last, and ``transmittances``, the (n_slabs, ny, nx) complex stack
+    t_m = exp(i sigma W_m)."""
+
+    waves: list[np.ndarray]
+    transmittances: np.ndarray
+
+
 def multislice_forward(
     w: BinnedVolume,
     params: InteractionParams,
     factors: MultisliceFactors,
-) -> tuple[np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, MultisliceIntermediates]:
     """Propagate a unit plane wave through the slabs of ``w``.
 
     Per slab m: t_m = exp(i sigma W_m); psi_{m+1} = P_dz(t_m * psi_m),
@@ -185,8 +196,9 @@ def multislice_forward(
     Each defocus then yields an exit wave H{P_df(psi_exit)}.
 
     Returns the exit waves, a complex (n_defoci, ny, nx) array with one
-    wave per defocus, and all intermediate waves psi_1..psi_{n+1} (needed
-    by the backward pass).
+    wave per defocus, and the :class:`MultisliceIntermediates` of the
+    pass: the waves psi_1..psi_{n+1} and the transmittances of all slabs,
+    computed in one elementwise ``exp``, which the backward pass reuses.
     """
     ny, nx = w.values.shape[1:]
     grid = factors.grid
@@ -197,16 +209,17 @@ def multislice_forward(
     factors.require_slabs_of(w)
     _require_finite(w.values, "binned volume")
 
+    transmittances = np.exp(1j * params.sigma * w.values)
     psi = np.ones(grid.shape, dtype=np.complex128)
-    intermediates = [psi]
-    for m in range(w.n_slabs):
-        t_m = np.exp(1j * params.sigma * w.values[m])
+    waves = [psi]
+    for t_m in transmittances:
         g_m = t_m * psi
         psi = np.fft.ifft2(factors.slab_factor * np.fft.fft2(g_m, norm="ortho"), norm="ortho")
-        intermediates.append(psi)
+        waves.append(psi)
 
     exit_spectra = np.fft.fft2(psi, norm="ortho") * factors.exit_factors
-    return np.fft.ifft2(exit_spectra, norm="ortho"), intermediates
+    return (np.fft.ifft2(exit_spectra, norm="ortho"),
+            MultisliceIntermediates(waves, transmittances))
 
 
 def intensity(psi: np.ndarray) -> np.ndarray:

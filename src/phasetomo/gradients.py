@@ -11,7 +11,10 @@ runs its factors in reverse, each replaced by its complex conjugate (the
 adjoint of a spectral multiplication). With P_dz the slab propagator and
 P_df_j H the exit factor of defocus j, both held by the
 :class:`phasetomo.forward.MultisliceFactors` the caller built, phi the
-adjoint field and t_m the forward transmittance of slab m:
+adjoint field, and psi_m and t_m the wave entering slab m and its
+transmittance, both taken from the forward pass's
+:class:`phasetomo.forward.MultisliceIntermediates` (the backward pass
+evaluates no exponential):
 
     phi <- sum_j F^-1 { conj(P_df_j H) F { r_j } }
     for m = n_slabs .. 1:
@@ -19,9 +22,10 @@ adjoint field and t_m the forward transmittance of slab m:
         g_m  = -i sigma conj(t_m) conj(psi_m) phi
         phi <- conj(t_m) phi
 
-Each returned slab gradient ``g_m`` is complex; the derivative of the
-scalar cost with respect to the (real) slab potential is ``2 * Re(g_m)``.
-The factor 2 is deliberately left to the caller's step size.
+The slab gradients ``g_m`` are returned as one complex stack; the
+derivative of the scalar cost with respect to the (real) slab potential
+is ``2 * Re(g_m)``. The factor 2 is deliberately left to the caller's
+step size.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 # Not called here (the backward pass conjugates forward's factors); the two
 # names stay importable from this module because perfbench/layers.py wraps them.
 from .fields import band_mask, propagation_kernel  # noqa: F401
-from .forward import MultisliceFactors
+from .forward import MultisliceFactors, MultisliceIntermediates
 from .volume import BinnedVolume, InteractionParams
 
 AMPLITUDE_EPS = 1e-12
@@ -48,24 +52,28 @@ def residual(psi: np.ndarray, measured_amplitude: np.ndarray) -> np.ndarray:
 
 def backpropagate(
     residuals: np.ndarray,
-    intermediates: list[np.ndarray],
+    intermediates: MultisliceIntermediates,
     w: BinnedVolume,
     params: InteractionParams,
     factors: MultisliceFactors,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Backward pass producing one complex gradient field per slab.
 
-    ``intermediates`` must be exactly the list returned by
+    ``intermediates`` must be exactly the value returned by
     :func:`phasetomo.forward.multislice_forward` on the same slabs and
-    ``factors``; the pass applies the conjugates of those factors, so it
-    is the adjoint of that forward operator. ``residuals`` holds one
+    ``factors``: its waves psi_m and transmittances t_m are used as they
+    are, and the pass applies the conjugates of those factors, so it is
+    the adjoint of that forward operator. ``residuals`` holds one
     residual wave per defocus, shape (n_defoci, ny, nx).
+
+    Returns the slab gradients as one complex (n_slabs, ny, nx) array.
     """
     n_slabs = w.n_slabs
-    if len(intermediates) != n_slabs + 1:
-        raise ValueError(
-            f"expected {n_slabs + 1} intermediate waves, got {len(intermediates)}"
-        )
+    waves, transmittances = intermediates.waves, intermediates.transmittances
+    if len(waves) != n_slabs + 1:
+        raise ValueError(f"expected {n_slabs + 1} intermediate waves, got {len(waves)}")
+    if len(transmittances) != n_slabs:
+        raise ValueError(f"expected {n_slabs} transmittances, got {len(transmittances)}")
     if len(residuals) != len(factors.exit_factors):
         raise ValueError("one residual field per defocus is required")
     factors.require_slabs_of(w)
@@ -75,12 +83,12 @@ def backpropagate(
     phi = np.fft.ifft2(spectra * np.conj(factors.exit_factors), norm="ortho").sum(axis=0)
     slab_factor_back = np.conj(factors.slab_factor)
 
-    gradients: list[np.ndarray | None] = [None] * n_slabs
+    gradients = np.empty(transmittances.shape, dtype=np.complex128)
     sigma = params.sigma
     for m in range(n_slabs - 1, -1, -1):
         phi = np.fft.ifft2(slab_factor_back * np.fft.fft2(phi, norm="ortho"), norm="ortho")
-        t_conj = np.conj(np.exp(1j * sigma * w.values[m]))
-        psi_m = intermediates[m]
-        gradients[m] = -1j * sigma * t_conj * np.conj(psi_m) * phi
+        t_conj = np.conj(transmittances[m])
+        # keep the operand order: numpy's complex product is not bitwise commutative
+        np.multiply(-1j * sigma * t_conj * np.conj(waves[m]), phi, out=gradients[m])
         phi = t_conj * phi
-    return gradients  # type: ignore[return-value]
+    return gradients

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import ndtr  # standard normal CDF
 
-from .fields import _require_non_negative, _require_positive
+from .fields import ConfigurationError, _require_non_negative, _require_positive
 from .volume import PotentialVolume, read_volume, write_volume
 
 SPECIES = ("light", "heavy")
@@ -179,9 +179,12 @@ def make_crystal(
     species pattern is "heavy", "light", or "alternating" (parity of
     i+j+k). ``seed`` only matters for downstream edits; the lattice
     itself is deterministic. ``pitch``, ``lattice_const``, ``width``,
-    ``d_min`` and a given ``radius`` must be finite and positive, and
-    ``margin_voxels`` finite and non-negative.
+    ``d_min`` and a given ``radius`` must be finite and positive,
+    ``margin_voxels`` finite and non-negative, and ``extent`` an integer
+    of at least 2, the smallest grid (:class:`~phasetomo.fields.GridSpec`).
     """
+    if not (isinstance(extent, (int, np.integer)) and extent >= 2):
+        raise ConfigurationError(f"extent must be an integer >= 2, got {extent}")
     _require_positive(pitch, "pitch")
     _require_positive(lattice_const, "lattice_const")
     _require_positive(width, "width")

@@ -38,6 +38,7 @@ from .volume import (
     from_rows,
     interaction_from_wavelength,
     projector,
+    rows_product,
     to_rows,
 )
 # Not called here (the sweep applies one projector per tilt); the four names
@@ -111,6 +112,8 @@ class SolverState:
     (3, nz, ny, nx); the next TV prox starts from it (see
     :func:`apply_prox`). It stays None until a TV prox with a positive
     threshold runs, so positivity and Lasso runs never allocate it.
+    ``bracket`` is the step bracket's record when the state is the
+    bracket's winner (see :func:`bracket_step_size`), else None.
     """
 
     u: PotentialVolume            # momentum iterate (may be complex mid-sweep)
@@ -119,6 +122,7 @@ class SolverState:
     k: int = 0
     cost_history: list[float] = field(default_factory=list)
     tv_dual: np.ndarray | None = None
+    bracket: dict | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +303,10 @@ def _sweep(
     step U -= eta * P^T g is applied at once, so later tilts see the
     earlier updates. The sweep holds ``u`` in the projectors' row layout
     (:func:`~phasetomo.volume.to_rows`) and writes it back into ``u``
-    once, on every way out. Once the running cost is strictly above
+    once, on every way out. Both products run on the float64 view of the
+    rows (:func:`~phasetomo.volume.rows_product`), as does the per-tilt
+    finiteness guard; the results are bit for bit those of the complex
+    products. Once the running cost is strictly above
     ``stop_above`` the sweep returns it at once, before that tilt's
     residual and update: every per-tilt term is a sum of squares, so the
     full cost could only be larger. ``projectors`` is the run's store,
@@ -315,12 +322,12 @@ def _sweep(
     cost = 0.0
     try:
         for i, theta in enumerate(plan.tilt_angles):
-            if not np.all(np.isfinite(rows)):
+            if not np.all(np.isfinite(rows.view(np.float64))):
                 raise DivergenceError("step size too large")
             if theta not in projectors:
                 projectors[theta] = projector(nz, nx, theta, cfg.n_b)
             matrix = projectors[theta]
-            w = BinnedVolume(from_rows(matrix @ rows, nx), pitch, cfg.n_b)
+            w = BinnedVolume(from_rows(rows_product(matrix, rows), nx), pitch, cfg.n_b)
             exit_waves, intermediates = multislice_forward(w, params, factors)
             # one sum per defocus: a sum over the whole stack would round differently
             for exit_wave, amp_meas in zip(exit_waves, measured_amplitude[i]):
@@ -330,7 +337,7 @@ def _sweep(
                 return cost
             residuals = residual(exit_waves, measured_amplitude[i])
             grads = backpropagate(residuals, intermediates, w, params, factors)
-            step = matrix.T @ to_rows(np.stack(grads))  # a fresh array, scaled in place
+            step = rows_product(matrix.T, to_rows(grads))  # a fresh array, scaled in place
             step *= cfg.step_size
             rows -= step
     finally:
@@ -395,7 +402,14 @@ def bracket_step_size(
     its running cost passes the best: the cost is a sum of non-negative
     per-tilt terms, so the pick is the same as with full sweeps. Returns
     the winning step size and its state after iteration 1; only the best
-    state so far is kept. A diverging
+    state so far is kept. The state's ``bracket`` records the search as
+    plain JSON values: ``step_size``, the winner; ``candidates``, one
+    ``{"step_size", "cost", "lower_bound", "diverged"}`` per candidate
+    tried, in order, where ``cost`` is the iteration-1 cost (None for a
+    diverged candidate) and ``lower_bound`` marks a sweep stopped early,
+    whose cost only bounds its full one from below; and
+    ``winner_at_end``, whether the winner is the smallest or largest
+    entry of ``step_bracket``. A diverging
     candidate is skipped without stopping the search, any other error
     propagates, and :class:`DivergenceError` is raised when all diverge.
     A candidate that would diverge only after its running cost has passed
@@ -409,6 +423,7 @@ def bracket_step_size(
     """
     projectors = {} if projectors is None else projectors
     best_cost, best = np.inf, None
+    candidates = []
     for eta in sorted(cfg.step_bracket, reverse=True):
         trial = replace(cfg, step_size=float(eta))
         state = _initial_state(series.grid)
@@ -416,13 +431,20 @@ def bracket_step_size(
             _outer_iteration(state, series, trial, params, h, stop_above=best_cost,
                              projectors=projectors)
         except (DivergenceError, NonFiniteError):
+            candidates.append({"step_size": trial.step_size, "cost": None,
+                               "lower_bound": False, "diverged": True})
             continue
         cost = state.cost_history[0]
+        candidates.append({"step_size": trial.step_size, "cost": cost,
+                           "lower_bound": cost > best_cost, "diverged": False})
         if cost > best_cost:
             break
         best_cost, best = cost, (trial.step_size, state)
     if best is None:
         raise DivergenceError(f"every step size in {tuple(cfg.step_bracket)} diverges")
+    step, state = best
+    state.bracket = {"step_size": step, "candidates": candidates,
+                     "winner_at_end": step in (min(cfg.step_bracket), max(cfg.step_bracket))}
     return best
 
 
@@ -431,6 +453,7 @@ def reconstruct(
     cfg: SolverConfig,
     params: InteractionParams | None = None,
     h: TransferFunction | None = None,
+    report: dict | None = None,
 ) -> tuple[PotentialVolume, list[float]]:
     """Run the full reconstruction; returns the volume and cost history.
 
@@ -442,7 +465,9 @@ def reconstruct(
     Each tilt angle's projector (its rotation and binning as one matrix,
     :func:`~phasetomo.volume.projector`) is built once per run, kept in
     one store keyed by angle, and shared by the bracket candidates and
-    every iteration.
+    every iteration. A bracketed run puts the bracket's record (see
+    :func:`bracket_step_size`) in ``report["step_bracket"]`` when a
+    ``report`` dict is given; a fixed-step run adds nothing to it.
     """
     grid = series.grid
     if params is None:
@@ -463,6 +488,8 @@ def reconstruct(
     projectors: dict = {}
     if cfg.step_size is None:
         cfg.step_size, state = bracket_step_size(series, cfg, params, h, projectors)
+        if report is not None:
+            report["step_bracket"] = state.bracket
     else:
         state = _initial_state(grid)
     while state.k < cfg.max_iter:

@@ -337,6 +337,18 @@ def from_rows(rows: np.ndarray, nx: int) -> np.ndarray:
     return rows.reshape(-1, nx, ny).transpose(0, 2, 1)
 
 
+def rows_product(matrix, rows: np.ndarray) -> np.ndarray:
+    """``matrix @ rows`` for a real sparse ``matrix`` (a projector or its
+    transpose) and C-contiguous float64 or complex128 ``rows``, computed
+    on the float64 view of ``rows``: a complex row of y is its real and
+    imaginary parts interleaved, and each output element is the same sum
+    in the same order, so the result is bit for bit the complex product,
+    without scipy casting the matrix to complex on every call."""
+    if rows.dtype not in (np.float64, np.complex128):
+        raise TypeError(f"rows must be float64 or complex128, got {rows.dtype}")
+    return (matrix @ rows.view(np.float64)).view(rows.dtype)
+
+
 def _bin_matrix(nz: int, nx: int, n_b: int) -> csr_matrix:
     """:func:`bin_slices` on the row layout: row (slab, x) holds a one for
     each (z, x) with z in that slab; a last slab past nz has fewer, which

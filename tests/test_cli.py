@@ -101,6 +101,18 @@ def test_phantom_rejects_an_impossible_size_before_making_the_output_directory(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extent", [0, 1, -3])
+def test_phantom_rejects_an_extent_below_two_before_making_the_output_directory(
+        tmp_path, capsys, extent):
+    # 0 and 1 used to exit 0 with no atoms; -3 exited 2 naming no key and
+    # left atoms.csv in --out
+    cfg = _write_config(tmp_path, "bad.json", {"extent": extent})
+    out = tmp_path / "out"
+    assert main(["phantom", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert f"extent must be an integer >= 2, got {extent}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = _write_config(tmp_path, "bad.json", {"extent": 16, "latice_const": 2.0})
     assert main(["phantom", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
@@ -422,6 +434,46 @@ def test_simulate_rejects_a_config_value_of_the_wrong_kind(phantom_dir, tmp_path
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
     assert f"config key '{key}' must be {kind}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _check_bracket(bracket, first_cost):
+    steps = [c["step_size"] for c in bracket["candidates"]]
+    assert bracket["step_size"] in (3e2, 3e3, 3e4)
+    assert steps == sorted(steps, reverse=True) and set(steps) <= {3e2, 3e3, 3e4}
+    assert bracket["winner_at_end"] == (bracket["step_size"] in (3e2, 3e4))
+    winner = [c for c in bracket["candidates"] if c["step_size"] == bracket["step_size"]]
+    assert len(winner) == 1 and not winner[0]["lower_bound"]
+    assert winner[0]["cost"] == first_cost  # the winner's sweep is iteration 1
+    for c in bracket["candidates"]:
+        # a candidate's sweep stops early only once its cost passes the winner's
+        assert c["lower_bound"] == (c["cost"] is not None and c["cost"] > first_cost)
+
+
+def test_the_run_manifest_records_the_step_bracket_only_when_it_runs(phantom_dir, tmp_path):
+    series_dir = _small_series(phantom_dir, tmp_path)
+    for step_size in (None, 3e4):
+        cfg = _write_config(tmp_path, "rec.json", {
+            "step_size": step_size, "reg_kind": "positivity", "n_b": 4, "max_iter": 2})
+        out = tmp_path / f"recon_{step_size}"
+        assert main(["reconstruct", "--config", cfg, "--series", str(series_dir),
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        if step_size is None:
+            costs = (out / "cost.csv").read_text().splitlines()
+            _check_bracket(manifest["step_bracket"], float(costs[1].split(",")[1]))
+        else:
+            assert "step_bracket" not in manifest
+
+    cfg = _write_config(tmp_path, "sweep.json", {
+        "reg_weights": [0.0, 1e-4], "reg_kind": "positivity", "n_b": 4, "max_iter": 1})
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--series", str(series_dir),
+                 "--out", str(out)]) == 0
+    brackets = json.loads((out / "run_manifest.json").read_text())["step_brackets"]
+    assert [b["reg_weight"] for b in brackets] == [0.0, 1e-4]
+    for b, tag in zip(brackets, ("0", "0.0001")):
+        costs = (out / f"cost_w{tag}.csv").read_text().splitlines()
+        _check_bracket(b, float(costs[1].split(",")[1]))
 
 
 @pytest.mark.parametrize("key, value", [("n_tilts", None), ("defoci", [250.0, None])])

@@ -40,7 +40,8 @@ def test_empty_volume_gives_unit_intensity():
     w = BinnedVolume(np.zeros((3, 16, 16)), 0.5, 1)
     exit_waves, intermediates = multislice_forward(
         w, PARAMS, multislice_factors(_identity_h(), w.slab_thickness, (250.0, 1000.0)))
-    assert len(intermediates) == 4
+    assert len(intermediates.waves) == 4
+    assert intermediates.transmittances.shape == (3, 16, 16)
     assert exit_waves.shape == (2, 16, 16)
     assert np.allclose(intensity(exit_waves), 1.0, atol=1e-12)
 
@@ -51,8 +52,8 @@ def test_unitarity_of_noiseless_chain():
     w = BinnedVolume(rng.normal(0, 0.3 / PARAMS.sigma, (5, 16, 16)), 0.5, 1)
     _, intermediates = multislice_forward(
         w, PARAMS, multislice_factors(_identity_h(), w.slab_thickness, (250.0,), anti_alias=False))
-    p0 = np.sum(np.abs(intermediates[0]) ** 2)
-    p_exit = np.sum(np.abs(intermediates[-1]) ** 2)
+    p0 = np.sum(np.abs(intermediates.waves[0]) ** 2)
+    p_exit = np.sum(np.abs(intermediates.waves[-1]) ** 2)
     assert p_exit == pytest.approx(p0, rel=1e-8)
 
 
@@ -121,11 +122,14 @@ def test_multislice_factors_match_field_oracles():
         err = np.max(np.abs(actual - expected))
         assert err <= 1e-12 * np.max(np.abs(expected))
 
+    waves = intermediates.waves
     for m in range(w.n_slabs):
-        t_psi = transmittance(w.values[m], PARAMS.sigma) * intermediates[m]
-        slab = band_limit(propagate(t_psi, grid, w.slab_thickness), grid)
-        assert_close(intermediates[m + 1], slab)
-    psi_exit = intermediates[-1]
+        t_m = transmittance(w.values[m], PARAMS.sigma)
+        # the stack is one elementwise exp, so each slab's is the per-slab exp
+        assert np.array_equal(intermediates.transmittances[m], t_m)
+        slab = band_limit(propagate(t_m * waves[m], grid, w.slab_thickness), grid)
+        assert_close(waves[m + 1], slab)
+    psi_exit = waves[-1]
     assert exit_waves.shape == (len(defoci),) + grid.shape
     for exit_wave, df in zip(exit_waves, defoci):
         assert_close(exit_wave, apply_ctf(propagate(psi_exit, grid, df), h))

@@ -13,6 +13,9 @@ from phasetomo import (
     multislice_forward,
     residual,
 )
+from phasetomo.forward import MultisliceIntermediates
+from phasetomo.volume import from_rows, to_rows
+from field_oracle import backpropagate as oracle_backpropagate
 
 PARAMS = interaction_parameter(300.0)
 
@@ -112,7 +115,8 @@ def test_unimodular_slab_gradient_vanishes_for_unit_target():
     assert np.max(np.abs(np.abs(exit_wave) - 1.0)) < 1e-14
     r = residual(exit_wave, np.ones(grid.shape))
     assert np.max(np.abs(r)) < 1e-13
-    intermediates = [np.ones(grid.shape, dtype=complex), exit_wave]
+    intermediates = MultisliceIntermediates([np.ones(grid.shape, dtype=complex), exit_wave],
+                                            exit_wave[None])
     g = backpropagate(r[None], intermediates, w, PARAMS,
                       multislice_factors(h, w.slab_thickness, (1e-9,), anti_alias=False))
     assert np.max(np.abs(np.stack(g))) < 1e-13 * PARAMS.sigma
@@ -192,6 +196,43 @@ def test_backpropagate_slab_count_mismatch():
     grid, h, w_true, measured_amp, cost_of, _ = _setup(seed=11)
     _, exit_waves, intermediates = cost_of(w_true)
     w = BinnedVolume(w_true, 0.5, 1)
+    short = MultisliceIntermediates(intermediates.waves[:-1], intermediates.transmittances)
     with pytest.raises(ValueError, match="intermediate"):
-        backpropagate(np.zeros((2,) + grid.shape, complex), intermediates[:-1], w,
+        backpropagate(np.zeros((2,) + grid.shape, complex), short, w,
                       PARAMS, multislice_factors(h, w.slab_thickness, (250.0, 1000.0)))
+
+
+def test_backpropagate_rejects_a_transmittance_stack_of_another_slab_count():
+    grid, h, w_true, measured_amp, cost_of, _ = _setup(seed=13)
+    _, exit_waves, intermediates = cost_of(w_true)
+    w = BinnedVolume(w_true, 0.5, 1)
+    short = MultisliceIntermediates(intermediates.waves, intermediates.transmittances[:-1])
+    with pytest.raises(ValueError, match="expected 4 transmittances, got 3"):
+        backpropagate(residual(exit_waves, measured_amp), short, w, PARAMS,
+                      multislice_factors(h, w.slab_thickness, (250.0, 1000.0)))
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+@pytest.mark.parametrize("n_b, row_layout", [(1, False), (3, True)])
+def test_backpropagate_with_carried_transmittances_is_the_per_slab_exp_oracle(
+        n_b, row_layout):
+    # the forward pass's transmittance stack replaces each slab's exp, bit
+    # for bit, also on the strided slab view the solver's sweep passes
+    rng = np.random.default_rng(14)
+    grid = _grid(16)
+    h = TransferFunction(grid, rng.uniform(0.0, 1.0, grid.shape)
+                         * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, grid.shape)))
+    values = rng.normal(0.0, 0.1 / PARAMS.sigma, (5, 16, 16))
+    if row_layout:
+        values = from_rows(to_rows(values), 16)
+    w = BinnedVolume(values, 0.5, n_b)
+    factors = multislice_factors(h, w.slab_thickness, (250.0, 1000.0))
+    exit_waves, intermediates = multislice_forward(w, PARAMS, factors)
+    res = residual(exit_waves, rng.uniform(0.5, 1.5, exit_waves.shape))
+    g = backpropagate(res, intermediates, w, PARAMS, factors)
+    expected = oracle_backpropagate(res, intermediates.waves, w, PARAMS, factors)
+    assert g.shape == (5, 16, 16) and g.dtype == np.complex128
+    assert np.array_equal(_bits(g), _bits(expected))

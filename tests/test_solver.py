@@ -646,10 +646,18 @@ def test_own_sweep_score_picks_the_forward_only_score_step():
 def test_step_bracket_search_goes_on_past_a_diverging_largest_step(monkeypatch):
     series, cfg, h = _tv_bracket_case((1e3, 1e5, 1e9))
     calls = _count_calls(monkeypatch, "_outer_iteration")
-    step, _ = bracket_step_size(series, cfg, PARAMS, h)
+    step, state = bracket_step_size(series, cfg, PARAMS, h)
     # 1e9 diverges and is skipped, 1e5 wins, and 1e3 costs more and stops the search
     assert [trial.step_size for _, _, trial, *_ in calls] == [1e9, 1e5, 1e3]
     assert step == 1e5
+    # the state records the search: the stopped sweep's cost is a lower bound
+    first = state.cost_history[0]
+    diverged, winner, stopped = state.bracket["candidates"]
+    assert diverged == {"step_size": 1e9, "cost": None, "lower_bound": False, "diverged": True}
+    assert winner == {"step_size": 1e5, "cost": first, "lower_bound": False, "diverged": False}
+    assert stopped["step_size"] == 1e3 and stopped["cost"] > first
+    assert stopped["lower_bound"] and not stopped["diverged"]
+    assert state.bracket["step_size"] == 1e5 and not state.bracket["winner_at_end"]
 
 
 def _reference_sweep(u, series, cfg, params, h, stop_above=math.inf, projectors=None):

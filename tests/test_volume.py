@@ -18,7 +18,8 @@ from phasetomo import (
     write_volume,
 )
 from phasetomo.forward import uniform_tilt_angles
-from phasetomo.volume import _shear_matrix, from_rows, project, projector, to_rows
+from phasetomo.volume import (_shear_matrix, from_rows, project, projector, rows_product,
+                              to_rows)
 from rotation_oracle import gather_shear, reference_rotation
 
 
@@ -382,6 +383,34 @@ def test_projector_of_a_non_cubic_volume_raises_as_rotate_does(theta):
         out = project(v, whole_turns, 3).values
         assert out.shape == ref.shape
         assert np.max(np.abs(out - ref)) <= 2e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n_b", [1, 4])
+def test_rows_product_is_the_complex_product_bit_for_bit(n_b):
+    rng = np.random.default_rng(19)
+    nz = ny = nx = 48
+    rows = to_rows(_random_values(rng, (nz, ny, nx), np.complex128))
+    slab_rows = to_rows(_random_values(rng, (nz // n_b, ny, nx), np.complex128))
+    for x in (rows, slab_rows):  # signed zeros in both parts, and whole zero rows
+        x.real.flat[::5] *= -0.0
+        x.imag.flat[::7] *= -0.0
+        x[::9] = 0.0
+    for theta in _PROJECTOR_ANGLES:
+        matrix = projector(nz, nx, theta, n_b)
+        for op, x in ((matrix, rows), (matrix.T, slab_rows)):
+            out = rows_product(op, x)
+            expected = op @ x
+            assert out.dtype == np.complex128 and out.shape == expected.shape
+            assert np.array_equal(out.view(np.uint64), expected.view(np.uint64)), theta
+            real = x.real.copy()
+            assert np.array_equal(rows_product(op, real).view(np.uint64),
+                                  (op @ real).view(np.uint64)), theta
+
+
+def test_rows_product_rejects_rows_it_cannot_view_as_float64():
+    matrix = projector(8, 8, 30.0, 2)
+    with pytest.raises(TypeError, match="float64 or complex128"):
+        rows_product(matrix, np.ones((64, 3), dtype=np.float32))
 
 
 def test_row_layout_round_trip_copies_once():
