@@ -60,10 +60,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-class ConfigError(ValueError):
-    pass
-
-
 PHANTOM_DEFAULTS = {
     "extent": 48,
     "pitch": 0.5,
@@ -142,19 +138,19 @@ def _load_config(defaults: dict, config_path: str | None, overrides: dict) -> di
         try:
             file_cfg = read_manifest(Path(config_path), {})
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
+            raise ConfigurationError(f"cannot read config {config_path}: {exc}") from exc
         unknown = set(file_cfg) - set(defaults)
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
         for key, value in file_cfg.items():
             default = defaults[key]
             if default is not None and (
                 value is None or isinstance(value, list) and None in value
             ):
-                raise ConfigError(f"config key {key!r} must not be null, got {value!r}")
+                raise ConfigurationError(f"config key {key!r} must not be null, got {value!r}")
             if isinstance(default, list) != isinstance(value, list):
                 kind = "a JSON array" if isinstance(default, list) else "a single value"
-                raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
+                raise ConfigurationError(f"config key {key!r} must be {kind}, got {value!r}")
             if value is not None:
                 kind = KEY_KINDS.get(key) or _DEFAULT_KINDS[type(default)]
                 check_kind(value, kind, f"config key {key!r}")
@@ -224,7 +220,7 @@ def cmd_simulate(args) -> int:
     elif cfg["phantom_dir"]:
         volume_path = Path(cfg["phantom_dir"]) / "volume.raw"
     else:
-        raise ConfigError("simulate needs 'volume' or 'phantom_dir'")
+        raise ConfigurationError("simulate needs 'volume' or 'phantom_dir'")
     v = read_volume(volume_path)
     params = interaction_parameter(cfg["accel_voltage_kv"])
     angles = uniform_tilt_angles(cfg["n_tilts"], cfg["tilt_span_deg"])
@@ -261,7 +257,7 @@ def _reconstruct_once(series: TiltSeries, cfg: dict, out: Path, tag: str = "") -
 def cmd_reconstruct(args) -> int:
     cfg = _load_config(RECONSTRUCT_DEFAULTS, args.config, {"series_dir": args.series})
     if not cfg["series_dir"]:
-        raise ConfigError("reconstruct needs 'series_dir'")
+        raise ConfigurationError("reconstruct needs 'series_dir'")
     out = Path(args.out)
     report = _reconstruct_once(read_tilt_series(cfg["series_dir"]), cfg, out)
     _write_manifest(out, "reconstruct", cfg, report)
@@ -272,7 +268,9 @@ def cmd_reconstruct(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_config(SWEEP_DEFAULTS, args.config, {"series_dir": args.series})
     if not cfg["series_dir"]:
-        raise ConfigError("sweep needs 'series_dir'")
+        raise ConfigurationError("sweep needs 'series_dir'")
+    if not cfg["reg_weights"]:
+        raise ConfigurationError("config key 'reg_weights' must hold at least one weight, got []")
     out = Path(args.out)
     series = read_tilt_series(cfg["series_dir"])
     brackets = []
@@ -288,7 +286,7 @@ def cmd_sweep(args) -> int:
 def cmd_trace(args) -> int:
     cfg = _load_config(TRACE_DEFAULTS, args.config, {"volume": args.volume})
     if not cfg["volume"]:
-        raise ConfigError("trace needs 'volume'")
+        raise ConfigurationError("trace needs 'volume'")
     v = read_volume(cfg["volume"])
     traced = trace_atoms(v, TraceParams(**{key: cfg[key] for key in vars(_TRACE)}))
     if cfg["classify"] and len(traced):
@@ -317,7 +315,7 @@ def cmd_evaluate(args) -> int:
         "traced": args.traced, "truth": args.truth, "volume": args.volume,
     })
     if not cfg["traced"] or not cfg["truth"]:
-        raise ConfigError("evaluate needs 'traced' and 'truth'")
+        raise ConfigurationError("evaluate needs 'traced' and 'truth'")
     volume = read_volume(cfg["volume"]) if cfg["volume"] else None
     pitch = cfg["pitch"] if volume is None else volume.pitch
     traced = read_sites_csv(cfg["traced"], pitch)
@@ -400,7 +398,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ConfigurationError, FileNotFoundError) as exc:
+    except (ConfigurationError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DivergenceError, FloatingPointError) as exc:

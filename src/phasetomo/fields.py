@@ -25,7 +25,8 @@ import numpy as np
 
 
 class ConfigurationError(ValueError):
-    """Grid or microscope parameters are inconsistent."""
+    """Grid or microscope parameters are inconsistent, or a CLI config is
+    invalid (the CLI exits 2)."""
 
 
 class NonFiniteError(ValueError):

@@ -36,8 +36,11 @@ from .volume import (
     BinnedVolume,
     InteractionParams,
     PotentialVolume,
-    project,
+    from_rows,
+    projector,
     read_manifest,
+    rows_product,
+    to_rows,
 )
 # Not called here (simulation projects each tilt with one matrix); the two
 # names stay importable from this module because perfbench/layers.py wraps them.
@@ -47,8 +50,9 @@ RNG_ALGORITHM = "numpy-philox4x64"
 ANTI_ALIAS_FRACTION = 2.0 / 3.0
 
 
-def uniform_tilt_angles(n_tilts: int, span_deg: float = 180.0, center_deg: float = 0.0) -> np.ndarray:
-    """Strictly increasing tilt angles covering ``span_deg`` uniformly.
+def uniform_tilt_angles(n_tilts: int, span_deg: float = 180.0) -> np.ndarray:
+    """Strictly increasing tilt angles covering ``span_deg`` uniformly,
+    centred on 0.
 
     Angles sit at midpoints of equal bins, so a 180-degree span never
     contains both ends of an equivalent (theta, theta+180) pair.
@@ -56,7 +60,7 @@ def uniform_tilt_angles(n_tilts: int, span_deg: float = 180.0, center_deg: float
     if n_tilts < 1:
         raise ValueError("need at least one tilt")
     k = np.arange(n_tilts)
-    return center_deg - span_deg / 2.0 + (k + 0.5) * span_deg / n_tilts
+    return -span_deg / 2.0 + (k + 0.5) * span_deg / n_tilts
 
 
 @dataclass(frozen=True)
@@ -272,8 +276,9 @@ def simulate_tilt_series(
     h: TransferFunction | None = None,
     anti_alias: bool = True,
 ) -> TiltSeries:
-    """Per tilt: rotate and bin (one :func:`~phasetomo.volume.project`),
-    multislice, detect, add Poisson noise."""
+    """Per tilt: rotate and bin (one product with the angle's
+    :func:`~phasetomo.volume.projector` on the volume's row layout, made
+    once), multislice, detect, add Poisson noise."""
     grid = GridSpec(nx=v.nx, ny=v.ny, pitch=v.pitch, wavelength=params.wavelength)
     if h is None:
         h = TransferFunction.identity(grid)
@@ -285,8 +290,10 @@ def simulate_tilt_series(
     factors = multislice_factors(h, n_b * v.pitch, plan.defoci, anti_alias)
     images = np.empty((plan.n_tilts, plan.n_defoci) + grid.shape)
     dose = plan.dose_per_image
+    rows = to_rows(v.values)
     for i, theta in enumerate(plan.tilt_angles):
-        w = project(v, theta, n_b)
+        slab_rows = rows_product(projector(v.nz, v.nx, theta, n_b), rows)
+        w = BinnedVolume(from_rows(slab_rows, v.nx), v.pitch, n_b)
         exit_waves, _ = multislice_forward(w, params, factors)
         for j, exit_wave in enumerate(exit_waves):
             images[i, j] = apply_poisson(intensity(exit_wave), dose, grid.pitch, plan.seed, i, j)

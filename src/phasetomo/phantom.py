@@ -245,8 +245,6 @@ def add_amorphous_shell(
     d_min: float = DEFAULT_D_MIN,
     amplitudes: dict | None = None,
     width: float = DEFAULT_WIDTH,
-    light_fraction: float = 0.5,
-    max_attempts: int = 200_000,
 ) -> GroundTruth:
     """Random sequential adsorption of a disordered shell.
 
@@ -255,9 +253,10 @@ def add_amorphous_shell(
     cylinder band, following the core geometry), rejected when closer
     than ``d_min`` to any atom. Insertion stops once the mean
     nearest-neighbor distance of the shell atoms drops to
-    ``bond_length``. ``thickness`` (the manifest's ``shell_thickness``)
-    must be finite and non-negative; ``bond_length``, ``d_min`` and
-    ``width`` finite and positive.
+    ``bond_length``, or after 200 000 sampled positions. Each shell atom
+    is light or heavy with equal odds. ``thickness`` (the manifest's
+    ``shell_thickness``) must be finite and non-negative; ``bond_length``,
+    ``d_min`` and ``width`` finite and positive.
     """
     _require_non_negative(thickness, "shell_thickness")
     _require_positive(bond_length, "bond_length")
@@ -298,7 +297,7 @@ def add_amorphous_shell(
     attempts = 0
     check_every = 8
     since_check = 0
-    while attempts < max_attempts:
+    while attempts < 200_000:
         attempts += 1
         p = rng.uniform(lo, hi)
         r = radial(p[None, :])[0]
@@ -318,7 +317,7 @@ def add_amorphous_shell(
     if n_shell == 0:
         return GroundTruth(g.atoms, g.shape, g.pitch, dict(g.metadata))
 
-    species = np.where(rng.random(n_shell) < light_fraction, "light", "heavy").astype(object)
+    species = np.where(rng.random(n_shell) < 0.5, "light", "heavy").astype(object)
     amplitude = np.array([_species_defaults(s, amplitudes) for s in species])
     shell = AtomList(np.array(shell_positions), species, amplitude,
                      np.full(n_shell, width))
@@ -363,19 +362,23 @@ def inject_vacancies(g: GroundTruth, fraction: float, seed: int = 0) -> GroundTr
 # atom list and ground-truth I/O
 # ---------------------------------------------------------------------------
 
-def write_atoms_csv(atoms: AtomList, path: str | Path) -> None:
-    """UTF-8 CSV with full-precision (round-trippable) floats."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+def write_sites_csv(path: str | Path, header: list[str], positions: np.ndarray,
+                    species, values, widths) -> None:
+    """UTF-8 CSV under ``header``, one row per site: x, y, z (the rows of
+    ``positions``), species, value and width, floats at full
+    (round-trippable) precision. Atom and traced-site CSVs both use it."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(ATOMS_CSV_HEADER)
-        for i in range(len(atoms)):
-            x, y, z = atoms.positions[i]
-            writer.writerow([
-                repr(float(x)), repr(float(y)), repr(float(z)),
-                atoms.species[i],
-                repr(float(atoms.amplitude[i])), repr(float(atoms.width[i])),
-            ])
+        writer.writerow(header)
+        for (x, y, z), name, value, width in zip(positions, species, values, widths):
+            writer.writerow([repr(float(x)), repr(float(y)), repr(float(z)), name,
+                             repr(float(value)), repr(float(width))])
+
+
+def write_atoms_csv(atoms: AtomList, path: str | Path) -> None:
+    """Ground-truth atoms as a CSV under ``ATOMS_CSV_HEADER``."""
+    write_sites_csv(path, ATOMS_CSV_HEADER, atoms.positions, atoms.species,
+                    atoms.amplitude, atoms.width)
 
 
 def read_csv_rows(path: Path, headers: list[list[str]], what: str) -> list[list[str]]:

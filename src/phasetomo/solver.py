@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .fields import GridSpec, NonFiniteError, TransferFunction
-from .forward import TiltSeries, multislice_factors, multislice_forward
+from .forward import MultisliceFactors, TiltSeries, multislice_factors, multislice_forward
 from .gradients import backpropagate, residual
 from .volume import (
     BinnedVolume,
@@ -112,8 +112,6 @@ class SolverState:
     (3, nz, ny, nx); the next TV prox starts from it (see
     :func:`apply_prox`). It stays None until a TV prox with a positive
     threshold runs, so positivity and Lasso runs never allocate it.
-    ``bracket`` is the step bracket's record when the state is the
-    bracket's winner (see :func:`bracket_step_size`), else None.
     """
 
     u: PotentialVolume            # momentum iterate (may be complex mid-sweep)
@@ -122,7 +120,6 @@ class SolverState:
     k: int = 0
     cost_history: list[float] = field(default_factory=list)
     tv_dual: np.ndarray | None = None
-    bracket: dict | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +289,14 @@ def _sweep(
     series: TiltSeries,
     cfg: SolverConfig,
     params: InteractionParams,
-    h: TransferFunction,
+    factors: MultisliceFactors,
+    projectors: tuple,
     stop_above: float = math.inf,
-    projectors: dict | None = None,
 ) -> float:
     """One pass over all tilts; returns the accumulated amplitude cost.
 
+    ``factors`` are the run's multislice factors and ``projectors`` its
+    projectors, one per tilt in tilt order (see :func:`reconstruct`).
     Each tilt's rotation and binning is one product with its
     :func:`~phasetomo.volume.projector` P, and the per-tilt gradient
     step U -= eta * P^T g is applied at once, so later tilts see the
@@ -309,24 +308,17 @@ def _sweep(
     products. Once the running cost is strictly above
     ``stop_above`` the sweep returns it at once, before that tilt's
     residual and update: every per-tilt term is a sum of squares, so the
-    full cost could only be larger. ``projectors`` is the run's store,
-    keyed by tilt angle: a missing projector is built and kept there.
+    full cost could only be larger.
     """
-    plan = series.plan
     pitch = series.grid.pitch
-    factors = multislice_factors(h, cfg.n_b * pitch, plan.defoci, cfg.anti_alias)
     measured_amplitude = np.sqrt(series.normalized())
-    projectors = {} if projectors is None else projectors
-    nz, _, nx = u.shape
+    nx = u.shape[2]
     rows = to_rows(u)
     cost = 0.0
     try:
-        for i, theta in enumerate(plan.tilt_angles):
+        for i, matrix in enumerate(projectors):
             if not np.all(np.isfinite(rows.view(np.float64))):
                 raise DivergenceError("step size too large")
-            if theta not in projectors:
-                projectors[theta] = projector(nz, nx, theta, cfg.n_b)
-            matrix = projectors[theta]
             w = BinnedVolume(from_rows(rows_product(matrix, rows), nx), pitch, cfg.n_b)
             exit_waves, intermediates = multislice_forward(w, params, factors)
             # one sum per defocus: a sum over the whole stack would round differently
@@ -353,20 +345,20 @@ def _initial_state(grid: GridSpec) -> SolverState:
 
 
 def _outer_iteration(state: SolverState, series: TiltSeries, cfg: SolverConfig,
-                     params: InteractionParams, h: TransferFunction,
-                     stop_above: float = math.inf, projectors: dict | None = None) -> None:
-    """Advance ``state`` in place by one sweep at eta = ``cfg.step_size``,
+                     params: InteractionParams, factors: MultisliceFactors,
+                     projectors: tuple, stop_above: float = math.inf) -> None:
+    """Advance ``state`` in place by one sweep at eta = ``cfg.step_size``
+    (with the run's ``factors`` and ``projectors``, see :func:`_sweep`),
     the prox and the Nesterov extrapolation, recording the sweep's cost.
     A TV prox starts from the previous iteration's final dual and leaves
     its own in ``state.tv_dual`` for the next (see :func:`apply_prox`).
 
     A sweep stopped above ``stop_above`` (see :func:`_sweep`) records its
     partial cost and leaves the iterate there: no prox, no extrapolation.
-    ``projectors`` is passed on to :func:`_sweep`.
     """
     # overflow inside a diverging iterate is caught by the finiteness guards
     with np.errstate(over="ignore", invalid="ignore"):
-        cost = _sweep(state.u.values, series, cfg, params, h, stop_above, projectors)
+        cost = _sweep(state.u.values, series, cfg, params, factors, projectors, stop_above)
         state.cost_history.append(cost)
         if not np.isfinite(cost) or cost > DIVERGENCE_FACTOR * state.cost_history[0]:
             raise DivergenceError("step size too large")
@@ -387,31 +379,30 @@ def bracket_step_size(
     series: TiltSeries,
     cfg: SolverConfig,
     params: InteractionParams,
-    h: TransferFunction,
-    projectors: dict | None = None,
-) -> tuple[float, SolverState]:
+    factors: MultisliceFactors,
+    projectors: tuple,
+) -> tuple[float, SolverState, dict]:
     """Pick the bracket candidate whose iteration-1 sweep costs least.
 
     Each candidate runs iteration 1 exactly as :func:`reconstruct` does,
+    with the run's ``factors`` and ``projectors`` (see :func:`_sweep`),
     and is scored by the cost of that sweep, its ``cost_history[0]``.
-    The candidates share ``projectors``, the run's store of projectors
-    by tilt angle (a new one when None, see :func:`_sweep`). Candidates
-    are tried from the largest step down, and the search stops at the
-    first score strictly above the best so far; ties go to the smaller
-    step. A candidate's sweep is itself cut short, with no prox, once
-    its running cost passes the best: the cost is a sum of non-negative
-    per-tilt terms, so the pick is the same as with full sweeps. Returns
-    the winning step size and its state after iteration 1; only the best
-    state so far is kept. The state's ``bracket`` records the search as
-    plain JSON values: ``step_size``, the winner; ``candidates``, one
-    ``{"step_size", "cost", "lower_bound", "diverged"}`` per candidate
-    tried, in order, where ``cost`` is the iteration-1 cost (None for a
-    diverged candidate) and ``lower_bound`` marks a sweep stopped early,
-    whose cost only bounds its full one from below; and
-    ``winner_at_end``, whether the winner is the smallest or largest
-    entry of ``step_bracket``. A diverging
-    candidate is skipped without stopping the search, any other error
-    propagates, and :class:`DivergenceError` is raised when all diverge.
+    Candidates are tried from the largest step down, and the search
+    stops at the first score strictly above the best so far; ties go to
+    the smaller step. A candidate's sweep is itself cut short, with no
+    prox, once its running cost passes the best: the cost is a sum of
+    non-negative per-tilt terms, so the pick is the same as with full
+    sweeps. Returns the winning step size, its state after iteration 1
+    (only the best state so far is kept) and the bracket's record, the
+    search as plain JSON values: ``step_size``, the winner;
+    ``candidates``, one ``{"step_size", "cost", "lower_bound",
+    "diverged"}`` per candidate tried, in order, where ``cost`` is the
+    iteration-1 cost (None for a diverged candidate) and ``lower_bound``
+    marks a sweep stopped early, whose cost only bounds its full one from
+    below; and ``winner_at_end``, whether the winner is the smallest or
+    largest entry of ``step_bracket``. A diverging candidate is skipped
+    without stopping the search, any other error propagates, and
+    :class:`DivergenceError` is raised when all diverge.
     A candidate that would diverge only after its running cost has passed
     the best counts as costlier and ends the search.
 
@@ -421,15 +412,13 @@ def bracket_step_size(
     assumption fails, a smaller step that is cheaper again behind a
     costlier one is missed.
     """
-    projectors = {} if projectors is None else projectors
     best_cost, best = np.inf, None
     candidates = []
     for eta in sorted(cfg.step_bracket, reverse=True):
         trial = replace(cfg, step_size=float(eta))
         state = _initial_state(series.grid)
         try:
-            _outer_iteration(state, series, trial, params, h, stop_above=best_cost,
-                             projectors=projectors)
+            _outer_iteration(state, series, trial, params, factors, projectors, best_cost)
         except (DivergenceError, NonFiniteError):
             candidates.append({"step_size": trial.step_size, "cost": None,
                                "lower_bound": False, "diverged": True})
@@ -443,9 +432,8 @@ def bracket_step_size(
     if best is None:
         raise DivergenceError(f"every step size in {tuple(cfg.step_bracket)} diverges")
     step, state = best
-    state.bracket = {"step_size": step, "candidates": candidates,
-                     "winner_at_end": step in (min(cfg.step_bracket), max(cfg.step_bracket))}
-    return best
+    return step, state, {"step_size": step, "candidates": candidates,
+                         "winner_at_end": step in (min(cfg.step_bracket), max(cfg.step_bracket))}
 
 
 def reconstruct(
@@ -462,10 +450,12 @@ def reconstruct(
     per outer iteration is the amplitude cost accumulated during that
     sweep (predicted intensities from the then-current iterate). With no
     ``cfg.step_size`` the loop continues from the bracket winner's state.
-    Each tilt angle's projector (its rotation and binning as one matrix,
-    :func:`~phasetomo.volume.projector`) is built once per run, kept in
-    one store keyed by angle, and shared by the bracket candidates and
-    every iteration. A bracketed run puts the bracket's record (see
+    The run's fixed operators are built once, before the first sweep,
+    and shared by the bracket candidates and every iteration: the
+    multislice factors (:func:`~phasetomo.forward.multislice_factors`)
+    and each tilt's projector (its rotation and binning as one matrix,
+    :func:`~phasetomo.volume.projector`), a tuple in tilt order. A
+    bracketed run puts the bracket's record (see
     :func:`bracket_step_size`) in ``report["step_bracket"]`` when a
     ``report`` dict is given; a fixed-step run adds nothing to it.
     """
@@ -485,15 +475,18 @@ def reconstruct(
             RuntimeWarning,
             stacklevel=2,
         )
-    projectors: dict = {}
+    factors = multislice_factors(h, cfg.n_b * grid.pitch, series.plan.defoci, cfg.anti_alias)
+    projectors = tuple(projector(grid.nx, grid.nx, theta, cfg.n_b)
+                       for theta in series.plan.tilt_angles)
     if cfg.step_size is None:
-        cfg.step_size, state = bracket_step_size(series, cfg, params, h, projectors)
+        cfg.step_size, state, bracket = bracket_step_size(series, cfg, params, factors,
+                                                          projectors)
         if report is not None:
-            report["step_bracket"] = state.bracket
+            report["step_bracket"] = bracket
     else:
         state = _initial_state(grid)
     while state.k < cfg.max_iter:
-        _outer_iteration(state, series, cfg, params, h, projectors=projectors)
+        _outer_iteration(state, series, cfg, params, factors, projectors)
     return state.v_curr, state.cost_history
 
 

@@ -13,7 +13,6 @@ sites are pruned between rounds.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
@@ -25,7 +24,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .fields import _require_positive
-from .phantom import ATOMS_CSV_HEADER, AtomList, read_csv_rows
+from .phantom import ATOMS_CSV_HEADER, AtomList, read_csv_rows, write_sites_csv
 from .volume import PotentialVolume
 
 DETECTION_BORDER = 2  # voxels excluded from candidate detection
@@ -143,37 +142,37 @@ def _wrapped_gaussian_kernel(shape: tuple[int, int, int], sigma: float) -> np.nd
     return axes[0][:, None, None] * axes[1][None, :, None] * axes[2][None, None, :]
 
 
-def dog_kernel(shape: tuple[int, int, int], sigma_small: float = 0.5,
-               sigma_large: float = 1.0) -> np.ndarray:
-    """Zero-sum difference-of-Gaussians kernel on a periodic grid."""
-    return (_wrapped_gaussian_kernel(shape, sigma_small)
-            - _wrapped_gaussian_kernel(shape, sigma_large))
+def dog_kernel(shape: tuple[int, int, int]) -> np.ndarray:
+    """Zero-sum difference-of-Gaussians kernel on a periodic grid, with
+    widths ``DOG_SIGMA_SMALL`` and ``DOG_SIGMA_LARGE``."""
+    return (_wrapped_gaussian_kernel(shape, DOG_SIGMA_SMALL)
+            - _wrapped_gaussian_kernel(shape, DOG_SIGMA_LARGE))
 
 
-def dog_filter(v: PotentialVolume, sigma_small: float = DOG_SIGMA_SMALL,
-               sigma_large: float = DOG_SIGMA_LARGE) -> PotentialVolume:
+def dog_filter(v: PotentialVolume) -> PotentialVolume:
     """Convolve with the zero-sum DoG kernel (Fourier product, periodic).
 
     Wrap artifacts are confined to the border excluded by candidate
     detection.
     """
     values = np.real(v.values).astype(np.float64)
-    kernel = dog_kernel(values.shape, sigma_small, sigma_large)
+    kernel = dog_kernel(values.shape)
     axes = tuple(range(values.ndim))
     out = np.fft.irfftn(np.fft.rfftn(values) * np.fft.rfftn(kernel),
                         s=values.shape, axes=axes)
     return PotentialVolume(out, v.pitch)
 
 
-def find_candidates(filtered: PotentialVolume, border: int = DETECTION_BORDER) -> np.ndarray:
-    """Strict 26-neighborhood local maxima, excluding a border.
+def find_candidates(filtered: PotentialVolume) -> np.ndarray:
+    """Strict 26-neighborhood local maxima, excluding a border of
+    ``DETECTION_BORDER`` voxels.
 
     Plateau ties go to the lexicographically smallest (z, y, x) index.
     Returns an (N, 3) int array sorted by (z, y, x).
     """
     vals = np.real(filtered.values)
     nz, ny, nx = vals.shape
-    b = border
+    b = DETECTION_BORDER
     if nz <= 2 * b or ny <= 2 * b or nx <= 2 * b:
         return np.zeros((0, 3), dtype=np.int64)
     core = vals[b:nz - b, b:ny - b, b:nx - b]
@@ -455,10 +454,11 @@ def trace_atoms(v: PotentialVolume, params: TraceParams | None = None) -> Traced
 # species classification
 # ---------------------------------------------------------------------------
 
-def _two_means_split(x: np.ndarray, iters: int = 100) -> tuple[float, float]:
-    """1D Lloyd iteration from the extremes; returns the two centers."""
+def _two_means_split(x: np.ndarray) -> tuple[float, float]:
+    """1D Lloyd iteration from the extremes, at most 100 steps; returns
+    the two centers."""
     c1, c2 = float(x.min()), float(x.max())
-    for _ in range(iters):
+    for _ in range(100):
         thr = (c1 + c2) / 2.0
         low, high = x[x <= thr], x[x > thr]
         if len(low) == 0 or len(high) == 0:
@@ -623,17 +623,8 @@ TRACED_CSV_HEADER = ["x_A", "y_A", "z_A", "species", "intensity", "width"]
 
 def write_traced_csv(traced: TracedAtoms, path: str | Path) -> None:
     """CSV of traced sites; positions in Angstrom, width in voxels."""
-    path = Path(path)
-    xyz = traced.positions_angstrom()
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACED_CSV_HEADER)
-        for i in range(len(traced)):
-            writer.writerow([
-                repr(float(xyz[i, 0])), repr(float(xyz[i, 1])), repr(float(xyz[i, 2])),
-                traced.species[i],
-                repr(float(traced.intensity[i])), repr(float(traced.width[i])),
-            ])
+    write_sites_csv(path, TRACED_CSV_HEADER, traced.positions_angstrom(), traced.species,
+                    traced.intensity, traced.width)
 
 
 def read_sites_csv(path: str | Path, pitch: float) -> TracedAtoms:

@@ -22,9 +22,10 @@ format (x, then y, then z). The rotation acts in the x-z plane, the same
 on every y, so the projector acts on another layout, the row layout: the
 volume as (z, x) rows of y, y fastest (:func:`to_rows` and
 :func:`from_rows`). Each tap of a shear pass, and each slice of a slab,
-is then a whole contiguous row of y. :func:`rotate` and :func:`project`
-make a row-layout copy per call; the solver holds its iterate in that
-layout for a whole sweep.
+is then a whole contiguous row of y. Every projector product runs
+through :func:`rows_product`. :func:`rotate` and :func:`rotate_adjoint`
+make a row-layout copy per call; simulation makes one per volume, and
+the solver holds its iterate in that layout for a whole sweep.
 """
 
 from __future__ import annotations
@@ -325,9 +326,12 @@ def bin_adjoint(vb: BinnedVolume, n_b: int, nz: int) -> PotentialVolume:
 
 def to_rows(values: np.ndarray) -> np.ndarray:
     """A new C-contiguous (m * nx, ny) array holding the (m, ny, nx) array
-    ``values`` as (z, x) rows of y: row ``z * nx + x`` is ``values[z, :, x]``."""
+    ``values`` as (z, x) rows of y: row ``z * nx + x`` is ``values[z, :, x]``.
+    The rows are float64, or complex128 for complex ``values``
+    (``np.result_type(values, np.float64)``), as :func:`rows_product` needs."""
     m, ny, nx = values.shape
-    return np.array(values.transpose(0, 2, 1), order="C").reshape(m * nx, ny)
+    dtype = np.result_type(values, np.float64)
+    return np.array(values.transpose(0, 2, 1), dtype, order="C").reshape(m * nx, ny)
 
 
 def from_rows(rows: np.ndarray, nx: int) -> np.ndarray:
@@ -402,29 +406,20 @@ def projector(nz: int, nx: int, theta_deg: float, n_b: int) -> csr_matrix:
     return matrix
 
 
-def project(v: PotentialVolume, theta_deg: float, n_b: int) -> BinnedVolume:
-    """``bin_slices(rotate(v, theta_deg), n_b)`` as one product with
-    :func:`projector`; float64, or complex128 for a complex ``v``."""
-    matrix = projector(v.nz, v.nx, theta_deg, n_b)
-    return BinnedVolume(from_rows(matrix @ to_rows(v.values), v.nx), v.pitch, n_b)
-
-
 def rotate(v: PotentialVolume, theta_deg: float) -> PotentialVolume:
     """Rotate the volume about the y axis by ``theta_deg``, +x toward +z:
     one product with ``projector(v.nz, v.nx, theta_deg, 1)``. The result
     is a C-contiguous float64, or complex128 for a complex ``v``, array
     that never shares memory with the input."""
-    matrix = projector(v.nz, v.nx, theta_deg, 1)
-    return PotentialVolume(
-        np.ascontiguousarray(from_rows(matrix @ to_rows(v.values), v.nx)), v.pitch)
+    rows = rows_product(projector(v.nz, v.nx, theta_deg, 1), to_rows(v.values))
+    return PotentialVolume(np.ascontiguousarray(from_rows(rows, v.nx)), v.pitch)
 
 
 def rotate_adjoint(v: PotentialVolume, theta_deg: float) -> PotentialVolume:
     """Exact algebraic adjoint of :func:`rotate` at the same angle: one
     product with the transpose of the same matrix."""
-    matrix = projector(v.nz, v.nx, theta_deg, 1)
-    return PotentialVolume(
-        np.ascontiguousarray(from_rows(matrix.T @ to_rows(v.values), v.nx)), v.pitch)
+    rows = rows_product(projector(v.nz, v.nx, theta_deg, 1).T, to_rows(v.values))
+    return PotentialVolume(np.ascontiguousarray(from_rows(rows, v.nx)), v.pitch)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +430,7 @@ def volume_sidecar_path(raw_path: str | Path) -> Path:
     return Path(raw_path).with_suffix(".json")
 
 
-def write_volume(v: PotentialVolume, raw_path: str | Path, units: str = "V*A") -> None:
+def write_volume(v: PotentialVolume, raw_path: str | Path) -> None:
     """Write little-endian float32 raw data (x fastest) plus JSON sidecar."""
     raw_path = Path(raw_path)
     data = np.ascontiguousarray(np.real(v.values), dtype="<f4")
@@ -445,7 +440,7 @@ def write_volume(v: PotentialVolume, raw_path: str | Path, units: str = "V*A") -
         "ny": v.ny,
         "nz": v.nz,
         "pitch_angstrom": v.pitch,
-        "units": units,
+        "units": "V*A",
     }
     volume_sidecar_path(raw_path).write_text(json.dumps(meta, indent=2) + "\n")
 
@@ -494,10 +489,17 @@ def read_manifest(path: Path, kinds: dict[str, str]) -> dict:
 
 
 def read_volume(raw_path: str | Path) -> PotentialVolume:
-    """Read a raw+JSON volume, validating the byte count."""
+    """Read a raw+JSON volume, validating the sidecar, the byte count and
+    the voxels: ``nx``, ``ny`` and ``nz`` must be at least 1 (the message
+    names the sidecar and the key), and every voxel finite (the message
+    names the raw file)."""
     raw_path = Path(raw_path)
-    meta = read_manifest(volume_sidecar_path(raw_path), {
+    sidecar = volume_sidecar_path(raw_path)
+    meta = read_manifest(sidecar, {
         "nx": "integer", "ny": "integer", "nz": "integer", "pitch_angstrom": "number"})
+    for key in ("nx", "ny", "nz"):
+        if meta[key] < 1:
+            raise ValueError(f"{sidecar}: {key} must be at least 1, got {meta[key]}")
     nx, ny, nz = meta["nx"], meta["ny"], meta["nz"]
     blob = raw_path.read_bytes()
     expected = 4 * nx * ny * nz
@@ -507,4 +509,6 @@ def read_volume(raw_path: str | Path) -> PotentialVolume:
             f"{nx}x{ny}x{nz} float32"
         )
     values = np.frombuffer(blob, dtype="<f4").reshape(nz, ny, nx).astype(np.float64)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{raw_path}: volume values must be finite")
     return PotentialVolume(values, float(meta["pitch_angstrom"]))

@@ -545,14 +545,50 @@ def test_series_manifest_with_a_non_numeric_field_exits_2_and_names_it(
     assert f"manifest.json: {message}" in capsys.readouterr().err
 
 
-def test_sweep_rejects_a_single_reg_weight(phantom_dir, tmp_path, capsys):
+def test_sweep_rejects_a_single_reg_weight(phantom_dir, tmp_path, capsys, monkeypatch):
     series_dir = _small_series(phantom_dir, tmp_path, "sweep_kind")
-    cfg = _write_config(tmp_path, "sweep_kind.json", {
-        "step_size": 3e4, "reg_weights": 1e-4, "n_b": 4, "max_iter": 1,
-    })
-    assert main(["sweep", "--config", cfg, "--series", str(series_dir),
-                 "--out", str(tmp_path / "sweep_kind")]) == cli.EXIT_CONFIG
-    assert "config key 'reg_weights' must be a JSON array" in capsys.readouterr().err
+
+    def unread(path):
+        raise AssertionError("the series must not be read")
+
+    monkeypatch.setattr(cli, "read_tilt_series", unread)
+    for reg_weights, message in (
+        (1e-4, "config key 'reg_weights' must be a JSON array"),
+        # used to exit 2 naming the run_manifest.json it could not write
+        ([], "config key 'reg_weights' must hold at least one weight, got []"),
+    ):
+        cfg = _write_config(tmp_path, "sweep_kind.json", {
+            "step_size": 3e4, "reg_weights": reg_weights, "n_b": 4, "max_iter": 1,
+        })
+        out = tmp_path / "sweep_out"
+        assert main(["sweep", "--config", cfg, "--series", str(series_dir),
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("nan_voxel, dims, message", [
+    (True, {}, "v.raw: volume values must be finite"),
+    (False, {"nx": 0}, "v.json: nx must be at least 1, got 0"),
+    (False, {"nx": -2, "ny": -2}, "v.json: nx must be at least 1, got -2"),
+], ids=["nan-voxel", "nx-0", "nx-ny--2"])
+def test_trace_rejects_a_volume_it_cannot_hold(tmp_path, capsys, nan_voxel, dims, message):
+    # each used to get past read_volume: the NaN voxel traced 0 sites and
+    # exited 0, and the dimensions exited 2 with a numpy message that named
+    # neither the file nor the key
+    values = np.zeros((16, 16, 16))
+    if nan_voxel:
+        values[5, 6, 7] = np.nan
+    write_volume(PotentialVolume(values, 0.5), tmp_path / "v.raw")
+    meta = dict(json.loads((tmp_path / "v.json").read_text()), **dims)
+    (tmp_path / "v.json").write_text(json.dumps(meta))
+    if dims:  # the byte count the sidecar asks for, so that check passes
+        (tmp_path / "v.raw").write_bytes(bytes(4 * meta["nx"] * meta["ny"] * meta["nz"]))
+    out = tmp_path / "trace"
+    assert main(["trace", "--volume", str(tmp_path / "v.raw"),
+                 "--out", str(out)]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _trace_on_a_fractional_nz(phantom_dir, tmp_path):

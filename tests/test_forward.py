@@ -241,20 +241,20 @@ def test_simulate_reproducible_bitwise():
 
 
 def test_simulate_builds_one_projector_per_tilt_and_matches_rotate_then_bin(monkeypatch):
-    from phasetomo import volume as volume_ops
+    from phasetomo import forward
     from phasetomo.volume import bin_slices
 
     v = PotentialVolume(np.random.default_rng(19).uniform(0.0, 5.0, (12, 10, 12)), 0.5)
     # over 180 degrees, tilts 90 degrees apart share a residual shear angle
     plan = AcquisitionPlan(tuple(uniform_tilt_angles(6)), (250.0, 1000.0))
     builds = []
-    original = volume_ops.projector
+    original = forward.projector
 
     def counted(*args):
         builds.append(args)
         return original(*args)
 
-    monkeypatch.setattr(volume_ops, "projector", counted)
+    monkeypatch.setattr(forward, "projector", counted)
     images = simulate_tilt_series(v, plan, PARAMS, n_b=3).images
     assert sorted(builds) == sorted((12, 12, theta, 3) for theta in plan.tilt_angles)
     grid = GridSpec(nx=12, ny=10, pitch=0.5, wavelength=PARAMS.wavelength)
@@ -265,6 +265,28 @@ def test_simulate_builds_one_projector_per_tilt_and_matches_rotate_then_bin(monk
         ref = intensity(exit_waves)
         # the projector rounds differently from gather passes then bin_slices
         np.testing.assert_allclose(images[i], ref, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("dose", [5e4, math.inf])
+@pytest.mark.parametrize("n_b", [1, 4])
+def test_simulate_equals_the_plain_projector_product_loop_bit_for_bit(n_b, dose):
+    # simulation makes the row layout once and multiplies on its float64
+    # view; a plain scipy product on fresh rows per tilt must give the same bits
+    from phasetomo.volume import from_rows, projector, to_rows
+
+    v = PotentialVolume(np.random.default_rng(23).uniform(0.0, 60.0, (16, 10, 16)), 0.5)
+    plan = AcquisitionPlan(tuple(uniform_tilt_angles(7)), (250.0, 1000.0), dose, seed=24)
+    images = simulate_tilt_series(v, plan, PARAMS, n_b).images
+    grid = GridSpec(nx=16, ny=10, pitch=0.5, wavelength=PARAMS.wavelength)
+    factors = multislice_factors(TransferFunction.identity(grid), n_b * 0.5, plan.defoci)
+    expected = np.empty_like(images)
+    for i, theta in enumerate(plan.tilt_angles):
+        slabs = from_rows(projector(16, 16, theta, n_b) @ to_rows(v.values), 16)
+        exit_waves, _ = multislice_forward(BinnedVolume(slabs, 0.5, n_b), PARAMS, factors)
+        for j, exit_wave in enumerate(exit_waves):
+            expected[i, j] = apply_poisson(intensity(exit_wave), plan.dose_per_image, 0.5,
+                                           plan.seed, i, j)
+    assert np.array_equal(images.view(np.uint64), expected.view(np.uint64))
 
 
 def test_uniform_tilt_angles_formula():

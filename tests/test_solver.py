@@ -15,6 +15,7 @@ from phasetomo import (
     TiltSeries,
     TransferFunction,
     interaction_parameter,
+    multislice_factors,
     prox_lasso,
     prox_positivity,
     prox_tv,
@@ -30,6 +31,7 @@ from phasetomo.solver import (
     total_variation,
     write_cost_history,
 )
+from phasetomo.volume import projector
 from rotation_oracle import reference_rotation
 
 PARAMS = interaction_parameter(300.0)
@@ -269,6 +271,15 @@ def _series(v, n_tilts=8, dose=math.inf, seed=0, defoci=(250.0, 1000.0)):
     return simulate_tilt_series(v, plan, PARAMS, n_b=2)
 
 
+def _operators(series, cfg, h):
+    """The run's fixed operators as ``reconstruct`` builds them: the
+    multislice factors and one projector per tilt, in tilt order."""
+    grid, plan = series.grid, series.plan
+    factors = multislice_factors(h, cfg.n_b * grid.pitch, plan.defoci, cfg.anti_alias)
+    return factors, tuple(projector(grid.nx, grid.nx, theta, cfg.n_b)
+                          for theta in plan.tilt_angles)
+
+
 def test_reconstruct_empty_volume_zero_cost():
     v = PotentialVolume(np.zeros((12, 12, 12)), 0.5)
     series = _series(v, n_tilts=4)
@@ -338,7 +349,8 @@ def test_bracketed_reconstruct_equals_fixed_step_at_the_picked_step():
     series = _series(v, n_tilts=4, dose=5e4, seed=15)
     cfg = SolverConfig(step_size=None, reg_kind="tv", reg_weight=1e-2, n_b=2, max_iter=3,
                        step_bracket=(1e3, 1e5, 1e9))
-    step, _ = bracket_step_size(series, cfg, PARAMS, TransferFunction.identity(series.grid))
+    h = TransferFunction.identity(series.grid)
+    step, _, _ = bracket_step_size(series, cfg, PARAMS, *_operators(series, cfg, h))
     volume, history = reconstruct(series, cfg, PARAMS)
     fixed, fixed_history = reconstruct(series, replace(cfg, step_size=step), PARAMS)
     assert np.array_equal(volume.values, fixed.values)
@@ -346,22 +358,20 @@ def test_bracketed_reconstruct_equals_fixed_step_at_the_picked_step():
 
 
 @pytest.mark.parametrize("n_tilts", [1, 4])
-def test_sweep_builds_the_multislice_factors_once(monkeypatch, n_tilts):
+def test_a_bracketed_reconstruct_builds_its_factors_and_each_projector_once(
+        monkeypatch, n_tilts):
     from phasetomo import forward
 
     series = _series(_blob_volume(n=12, seed=19), n_tilts=n_tilts)
-    h = TransferFunction.identity(series.grid)
-    cfg = SolverConfig(step_size=1e4, reg_kind="positivity", n_b=2)
-    calls = []
-    original = forward.propagation_kernel
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(forward, "propagation_kernel", counted)
-    solver._sweep(np.zeros((12, 12, 12), np.complex128), series, cfg, PARAMS, h)
-    assert len(calls) == 3  # the slab propagator and one exit factor per defocus
+    cfg = SolverConfig(step_size=None, reg_kind="positivity", n_b=2, max_iter=3,
+                       step_bracket=(1e3, 1e4, 1e5))
+    kernels = _count_calls(monkeypatch, "propagation_kernel", forward)
+    builds = _count_calls(monkeypatch, "projector")
+    sweeps = _count_calls(monkeypatch, "_sweep")
+    _, history = reconstruct(series, cfg, PARAMS)
+    assert len(history) == 3 and len(sweeps) > 3  # the bracket swept too
+    assert len(kernels) == 3  # the slab propagator and one exit factor per defocus
+    assert builds == [(12, 12, theta, 2) for theta in series.plan.tilt_angles]
 
 
 def test_apply_prox_threshold_is_step_times_weight_over_background_counts():
@@ -439,7 +449,7 @@ def test_outer_iteration_hands_each_tv_dual_to_the_next(monkeypatch):
     entries, exits = _record_tv_duals(monkeypatch)
     state = solver._initial_state(series.grid)
     for _ in range(3):
-        solver._outer_iteration(state, series, cfg, PARAMS, h)
+        solver._outer_iteration(state, series, cfg, PARAMS, *_operators(series, cfg, h))
     assert len(entries) == 3
     assert not np.any(entries[0])  # the run's first prox starts cold
     for k in range(2):
@@ -468,9 +478,9 @@ def test_runs_without_a_tv_threshold_allocate_no_dual(kind, weight, dose):
     series = _series(_blob_volume(seed=21), n_tilts=4, dose=dose, seed=22)
     cfg = SolverConfig(step_size=1e5, reg_kind=kind, reg_weight=weight, n_b=2)
     state = solver._initial_state(series.grid)
+    operators = _operators(series, cfg, TransferFunction.identity(series.grid))
     for _ in range(2):
-        solver._outer_iteration(state, series, cfg, PARAMS,
-                                TransferFunction.identity(series.grid))
+        solver._outer_iteration(state, series, cfg, PARAMS, *operators)
     assert state.tv_dual is None
 
 
@@ -498,7 +508,8 @@ def test_step_bracket_propagates_errors_other_than_divergence(monkeypatch):
 
     monkeypatch.setattr(solver, "apply_prox", broken_prox)
     with pytest.raises(ValueError, match="not a divergence"):
-        bracket_step_size(series, cfg, PARAMS, TransferFunction.identity(series.grid))
+        bracket_step_size(series, cfg, PARAMS,
+                          *_operators(series, cfg, TransferFunction.identity(series.grid)))
 
 
 def _exhaustive_bracket(series, cfg, h):
@@ -509,7 +520,7 @@ def _exhaustive_bracket(series, cfg, h):
     for eta in cfg.step_bracket:
         trial = replace(cfg, step_size=float(eta))
         state = solver._initial_state(series.grid)
-        solver._outer_iteration(state, series, trial, PARAMS, h)
+        solver._outer_iteration(state, series, trial, PARAMS, *_operators(series, trial, h))
         if state.cost_history[0] < best_cost:
             best_cost, best = state.cost_history[0], (trial.step_size, state)
     return best
@@ -542,7 +553,7 @@ def _forward_only_bracket(series, cfg, h):
         trial = replace(cfg, step_size=float(eta))
         state = solver._initial_state(series.grid)
         try:
-            solver._outer_iteration(state, series, trial, PARAMS, h)
+            solver._outer_iteration(state, series, trial, PARAMS, *_operators(series, trial, h))
             with np.errstate(over="ignore", invalid="ignore"):
                 cost = _forward_only_cost(state.v_curr.values, series, trial, h)
         except (DivergenceError, solver.NonFiniteError):
@@ -562,15 +573,15 @@ def _tv_bracket_case(step_bracket):
     return series, cfg, TransferFunction.identity(series.grid)
 
 
-def _count_calls(monkeypatch, name):
+def _count_calls(monkeypatch, name, module=solver):
     calls = []
-    original = getattr(solver, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(solver, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -582,7 +593,7 @@ def test_step_bracket_stops_once_the_cost_rises(monkeypatch, step_bracket, n_tri
     series, cfg, h = _tv_bracket_case(step_bracket)
     tried = _count_calls(monkeypatch, "_outer_iteration")
     proxes = _count_calls(monkeypatch, "apply_prox")
-    step, state = bracket_step_size(series, cfg, PARAMS, h)
+    step, state, _ = bracket_step_size(series, cfg, PARAMS, *_operators(series, cfg, h))
     assert len(tried) == n_tried
     assert len(proxes) == n_tried - 1  # the costlier last candidate gets no prox
     # on this unimodal cost the pick and its state equal the exhaustive search's
@@ -603,13 +614,15 @@ def test_losing_sweep_stops_at_the_first_tilt_above_the_best(monkeypatch):
     h = TransferFunction.identity(series.grid)
     cfg = SolverConfig(step_size=1e4, reg_kind="tv", reg_weight=1e-2, n_b=2)
     winner = solver._initial_state(series.grid)
-    solver._outer_iteration(winner, series, replace(cfg, step_size=1e5), PARAMS, h)
+    operators = _operators(series, cfg, h)
+    solver._outer_iteration(winner, series, replace(cfg, step_size=1e5), PARAMS, *operators)
     best = winner.cost_history[0]
     # a sweep over the first k tilts, given as normalized images of an
     # infinite dose, runs exactly the full sweep's first k tilts, so its
     # cost is the full sweep's running cost after tilt k
     zeros = np.zeros(winner.u.values.shape, np.complex128)
-    running = [solver._sweep(zeros.copy(), _first_tilts(series, k), cfg, PARAMS, h)
+    running = [solver._sweep(zeros.copy(), _first_tilts(series, k), cfg, PARAMS,
+                             operators[0], operators[1][:k])
                for k in range(1, 9)]
     assert running == sorted(running) and running[-1] > best
     stop = next(i for i, cost in enumerate(running) if cost > best)
@@ -618,7 +631,7 @@ def test_losing_sweep_stops_at_the_first_tilt_above_the_best(monkeypatch):
     calls = {name: _count_calls(monkeypatch, name)
              for name in ("multislice_forward", "residual", "backpropagate", "apply_prox")}
     loser = solver._initial_state(series.grid)
-    solver._outer_iteration(loser, series, cfg, PARAMS, h, stop_above=best)
+    solver._outer_iteration(loser, series, cfg, PARAMS, *operators, stop_above=best)
     assert loser.cost_history == [running[stop]]
     assert len(calls["multislice_forward"]) == stop + 1
     # each tilt before the stop forms its residuals in one call; the stop tilt none
@@ -639,36 +652,34 @@ def test_own_sweep_score_picks_the_forward_only_score_step():
     ]
     for series, cfg in cases:
         h = TransferFunction.identity(series.grid)
-        step, _ = bracket_step_size(series, cfg, PARAMS, h)
+        step, _, _ = bracket_step_size(series, cfg, PARAMS, *_operators(series, cfg, h))
         assert step == _forward_only_bracket(series, cfg, h) == 1e5
 
 
 def test_step_bracket_search_goes_on_past_a_diverging_largest_step(monkeypatch):
     series, cfg, h = _tv_bracket_case((1e3, 1e5, 1e9))
     calls = _count_calls(monkeypatch, "_outer_iteration")
-    step, state = bracket_step_size(series, cfg, PARAMS, h)
+    step, state, bracket = bracket_step_size(series, cfg, PARAMS, *_operators(series, cfg, h))
     # 1e9 diverges and is skipped, 1e5 wins, and 1e3 costs more and stops the search
     assert [trial.step_size for _, _, trial, *_ in calls] == [1e9, 1e5, 1e3]
     assert step == 1e5
     # the state records the search: the stopped sweep's cost is a lower bound
     first = state.cost_history[0]
-    diverged, winner, stopped = state.bracket["candidates"]
+    diverged, winner, stopped = bracket["candidates"]
     assert diverged == {"step_size": 1e9, "cost": None, "lower_bound": False, "diverged": True}
     assert winner == {"step_size": 1e5, "cost": first, "lower_bound": False, "diverged": False}
     assert stopped["step_size"] == 1e3 and stopped["cost"] > first
     assert stopped["lower_bound"] and not stopped["diverged"]
-    assert state.bracket["step_size"] == 1e5 and not state.bracket["winner_at_end"]
+    assert bracket["step_size"] == 1e5 and not bracket["winner_at_end"]
 
 
-def _reference_sweep(u, series, cfg, params, h, stop_above=math.inf, projectors=None):
+def _reference_sweep(u, series, cfg, params, factors, projectors, stop_above=math.inf):
     """The sweep through the reference operators: the gather rotation and
     bin_slices forward, bin_adjoint and the gather adjoint back, on the
     (z, y, x) array; ``projectors`` is ignored."""
-    from phasetomo.forward import multislice_factors
     from phasetomo.volume import BinnedVolume, bin_adjoint, bin_slices
 
     plan, pitch = series.plan, series.grid.pitch
-    factors = multislice_factors(h, cfg.n_b * pitch, plan.defoci, cfg.anti_alias)
     measured_amplitude = np.sqrt(series.normalized())
     cost = 0.0
     for i, theta in enumerate(plan.tilt_angles):
@@ -710,16 +721,16 @@ def test_a_run_builds_each_angles_projector_once_and_matches_reference_operators
     volume, history = reconstruct(series, cfg, PARAMS, h)
     angles = series.plan.tilt_angles
     assert sorted(builds) == sorted((16, 16, theta, cfg.n_b) for theta in angles)
-    # the bracket's candidates and every later iteration swept with one store
+    # the bracket's candidates and every later iteration swept with one tuple
     assert len(sweeps) > cfg.max_iter
-    assert len({id(args[-1]) for args in sweeps}) == 1
+    assert len({id(args[5]) for args in sweeps}) == 1
     for matrix in matrices:
         for array in (matrix.data, matrix.indices, matrix.indptr):
             assert not array.flags.writeable
 
     monkeypatch.setattr(solver, "_sweep", _reference_sweep)
     expected_volume, expected_history = reconstruct(series, cfg, PARAMS, h)
-    assert len(builds) == len(angles)  # the reference run built none
+    assert len(builds) == 2 * len(angles)  # the reference run built its own, once each
     # the composed matrix rounds differently from three passes and the exact
     # slab sum; over the bracket and three iterations the volumes differed by
     # 7.5e-16 of their maximum and the costs by 1.3e-15 relative (measured);

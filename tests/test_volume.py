@@ -18,8 +18,7 @@ from phasetomo import (
     write_volume,
 )
 from phasetomo.forward import uniform_tilt_angles
-from phasetomo.volume import (_shear_matrix, from_rows, project, projector, rows_product,
-                              to_rows)
+from phasetomo.volume import _shear_matrix, from_rows, projector, rows_product, to_rows
 from rotation_oracle import gather_shear, reference_rotation
 
 
@@ -191,7 +190,7 @@ def test_rotation_is_byte_identical_to_gather_reference(dtype, shape):
     # suite's test IDs stay stable. One product with the composed (x, z, x)
     # matrix rounds differently from three gather passes: within 5.3e-16 of
     # the maximum, measured. Single-precision input is promoted to float64
-    # or complex128, as in project, and agrees with the gather of the
+    # or complex128, as in to_rows, and agrees with the gather of the
     # promoted values.
     rng = np.random.default_rng(14)
     values = rng.normal(size=shape).astype(dtype)
@@ -349,7 +348,7 @@ def test_projector_matches_rotate_then_bin_and_their_adjoints(dtype, shape, n_b)
     slabs = _random_values(rng, (-(-nz // n_b), ny, nx), dtype)
     for theta in _PROJECTOR_ANGLES:
         matrix = projector(nz, nx, theta, n_b)
-        out = project(v, theta, n_b)
+        out = BinnedVolume(from_rows(rows_product(matrix, to_rows(v.values)), nx), 0.5, n_b)
         ref = bin_slices(PotentialVolume(reference_rotation(v.values, theta), 0.5), n_b)
         assert (out.n_b, out.pitch, out.values.dtype) == (n_b, 0.5, ref.values.dtype)
         assert out.values.shape == ref.values.shape, theta
@@ -380,7 +379,7 @@ def test_projector_of_a_non_cubic_volume_raises_as_rotate_does(theta):
         projector(16, 12, theta, 2)
     for whole_turns in (0.0, 360.0, -720.0):  # the binning alone
         ref = bin_slices(v, 3).values
-        out = project(v, whole_turns, 3).values
+        out = from_rows(rows_product(projector(16, 12, whole_turns, 3), to_rows(v.values)), 12)
         assert out.shape == ref.shape
         assert np.max(np.abs(out - ref)) <= 2e-15 * np.max(np.abs(ref))
 
